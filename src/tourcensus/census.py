@@ -1,11 +1,13 @@
 """Exact counting of oriented paths, cycles and their enumerations.
 
-Two engines live here.  The subset DP counts vertex sequences matching a
-fixed arc-sign word over states (used-vertex mask, last vertex); cycle counts
-divide the closed-sequence tally by delta * t, the number of closed readings
-every cycle of that type contributes.  The brute-force oracle classifies raw
-permutations and is kept deliberately naive so the two paths can check each
-other.
+Two engines live here.  One subset DP, ``_word_dp``, counts vertex sequences
+whose arc signs spell a fixed word or, in one prefix-tree walk, every word;
+paths halve the tally of symmetric types, cycles close back to the start and
+divide by delta * t, the readings each cycle of the type contributes.  The
+Hamiltonian cycle census walks only from vertex 0: every such cycle has
+exactly two readings starting there, one per direction.  The brute-force
+oracle classifies raw permutations and is kept deliberately naive so the two
+engines can check each other.
 """
 
 from __future__ import annotations
@@ -152,6 +154,11 @@ def _word_of(T: Tournament, vs: Sequence[int]) -> int:
     return w
 
 
+def _closed_word_of(T: Tournament, vs: Sequence[int]) -> int:
+    """Sign word of a closed reading: the path word plus the arc back to vs[0]."""
+    return _word_of(T, vs) | T.has_arc(vs[-1], vs[0]) << (len(vs) - 1)
+
+
 def classify_enumeration(T: Tournament, seq: Sequence[int]) -> SignedTuple:
     """Block tuple read off a vertex sequence, as-is (not canonicalized)."""
     vs = _checked_sequence(T, seq, 2)
@@ -161,10 +168,7 @@ def classify_enumeration(T: Tournament, seq: Sequence[int]) -> SignedTuple:
 def classify_cycle(T: Tournament, seq: Sequence[int]) -> SignedTuple:
     """Canonical cycle type of a closed vertex sequence."""
     vs = _checked_sequence(T, seq, 3)
-    w = _word_of(T, vs)
-    if T.has_arc(vs[-1], vs[0]):
-        w |= 1 << (len(vs) - 1)
-    return cycle_canonical(_cyclic_runs_from_word(w, len(vs)))
+    return cycle_canonical(_cyclic_runs_from_word(_closed_word_of(T, vs), len(vs)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +192,44 @@ def _advance(states: dict[int, int], masks: Sequence[int]) -> dict[int, int]:
     return nxt
 
 
-def _initial_states(n: int) -> dict[int, int]:
-    return {((1 << v) << 4) | v: 1 for v in range(n)}
+def _word_dp(T: Tournament, starts: Iterable[int], length: int, word: int | None = None,
+             closed: bool = False, by_mask: bool = False) -> dict[int, int]:
+    """The subset DP behind every count: vertex sequences from ``starts``
+    whose ``length`` arc signs spell a word (bit i set when arc i runs forward).
+
+    ``word`` fixes the word; ``None`` walks the whole prefix tree, so shared
+    prefixes share DP work.  With ``closed`` each start runs alone and the last
+    arc is the closing test back to it rather than a step to a new vertex.
+    Returns the sequence tally keyed by the used-vertex mask with ``by_mask``,
+    otherwise by word; zero tallies are left out.
+    """
+    out_masks, in_masks = T.out_masks, T.in_masks
+    steps = length - 1 if closed else length
+    counts: dict[int, int] = {}
+    # depth-first over the word prefixes; a node's states are dropped once its
+    # children exist, so a fixed word holds two levels, not the whole path
+    if closed:  # a forward closing arc into s leaves from in_masks[s]
+        stack = [(0, 0, {((1 << s) << 4) | s: 1}, (out_masks[s], in_masks[s])) for s in starts]
+    else:
+        stack = [(0, 0, {((1 << v) << 4) | v: 1 for v in starts}, (-1, -1))]
+    while stack:
+        depth, w, states, ends = stack.pop()
+        if depth < steps:
+            for bit, masks in ((0, in_masks), (1, out_masks)):
+                if word is None or word >> depth & 1 == bit:
+                    nxt = _advance(states, masks)
+                    if nxt:
+                        stack.append((depth + 1, w | bit << depth, nxt, ends))
+            continue
+        for bit in (1, 0) if closed else (0,):
+            if closed and word is not None and word >> depth & 1 != bit:
+                continue
+            keep = ends[bit]
+            for key, c in states.items():
+                if keep >> (key & 15) & 1:
+                    k = key >> 4 if by_mask else w | bit << depth
+                    counts[k] = counts.get(k, 0) + c
+    return counts
 
 
 def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
@@ -198,39 +238,28 @@ def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
     a = check_standard_path(alpha)
     if arc_sum(a) + 1 > T.n:
         raise TypeTooLongError(f"type {a} needs {arc_sum(a) + 1} vertices, host has {T.n}")
-    states = _initial_states(T.n)
-    for sign in expand_signs(a):
-        states = _advance(states, T.out_masks if sign > 0 else T.in_masks)
-        if not states:
-            return 0
-    return sum(states.values())
+    return sum(_word_dp(T, range(T.n), arc_sum(a), word_int(a)).values())
 
 
 def enumeration_word_counts(T: Tournament, m: int) -> dict[int, int]:
     """Enumeration counts for every sign word of length m-1 in one sweep.
 
     Returns a dict from packed word to count; absent words have count 0.
-    The prefix tree is walked once, so shared word prefixes share DP work.
     """
     if not 2 <= m <= T.n:
         raise TypeTooLongError(f"word sweep needs 2 <= m <= {T.n}, got {m}")
-    out_masks, in_masks = T.out_masks, T.in_masks
-    counts: dict[int, int] = {}
-    steps = m - 1
+    return _word_dp(T, range(T.n), m - 1)
 
-    def rec(depth: int, word: int, states: dict[int, int]) -> None:
-        if depth == steps:
-            counts[word] = sum(states.values())
-            return
-        nxt = _advance(states, out_masks)
-        if nxt:
-            rec(depth + 1, word | (1 << depth), nxt)
-        nxt = _advance(states, in_masks)
-        if nxt:
-            rec(depth + 1, word, nxt)
 
-    rec(0, 0, _initial_states(T.n))
-    return counts
+def _halved(readings: int, tup: SignedTuple) -> int:
+    if readings % 2:
+        raise ParityViolationError(f"odd reading count {readings} for {tup}")
+    return readings // 2
+
+
+def _per_path(e: int, alpha: SignedTuple) -> int:
+    """Paths behind ``e`` enumerations: symmetric types read each from both ends."""
+    return _halved(e, alpha) if is_symmetric(alpha) else e
 
 
 def count_paths(T: Tournament, alpha: Iterable[int]) -> int:
@@ -241,36 +270,17 @@ def count_paths(T: Tournament, alpha: Iterable[int]) -> int:
     symmetric types therefore count every path twice.
     """
     a = check_standard_path(alpha)
-    e = count_enumerations(T, a)
-    if is_symmetric(a):
-        if e % 2:
-            raise ParityViolationError(f"odd enumeration count {e} for symmetric {a}")
-        return e // 2
-    return e
+    return _per_path(count_enumerations(T, a), a)
 
 
-def _closed_word_count(T: Tournament, signs: Sequence[int]) -> int:
-    """Closed sequences v_1..v_m (distinct vertices, all starts) whose m arc
-    signs, including the closing step back to v_1, match ``signs`` exactly."""
-    out_masks, in_masks = T.out_masks, T.in_masks
-    closing = signs[-1]
-    total = 0
-    for start in range(T.n):
-        states = {((1 << start) << 4) | start: 1}
-        for sign in signs[:-1]:
-            states = _advance(states, out_masks if sign > 0 else in_masks)
-            if not states:
-                break
-        if not states:
-            continue
-        if closing > 0:
-            mask = in_masks[start]
-        else:
-            mask = out_masks[start]
-        for key, c in states.items():
-            if mask >> (key & 15) & 1:
-                total += c
-    return total
+def _per_cycle(readings: int, beta: SignedTuple) -> int:
+    """Cycles behind ``readings`` closed readings of the word of ``beta``."""
+    divisor = delta(beta) * period_info(beta).t
+    if readings % divisor:
+        raise DivisibilityViolationError(
+            f"{readings} closed readings of {beta} not divisible by {divisor}"
+        )
+    return readings // divisor
 
 
 def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
@@ -288,13 +298,20 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
     if m < 3:
         return 0  # tournaments are loopless and have no 2-cycles
     canon = cycle_canonical(b)
-    readings = _closed_word_count(T, expand_signs(canon))
-    divisor = delta(canon) * period_info(canon).t
-    if readings % divisor:
-        raise DivisibilityViolationError(
-            f"{readings} closed readings of {canon} not divisible by {divisor}"
-        )
-    return readings // divisor
+    readings = sum(_word_dp(T, range(T.n), m, word_int(canon), closed=True).values())
+    return _per_cycle(readings, canon)
+
+
+def _cycle_census(T: Tournament) -> dict[SignedTuple, int]:
+    """Count of every Hamiltonian cycle type, zeros included, in one sweep:
+    each such cycle has exactly two readings from vertex 0, one per direction,
+    so the closed words from vertex 0 are bucketed by class and halved."""
+    n = T.n
+    readings = dict.fromkeys(cycle_type_classes(n), 0)
+    classes = _cycle_word_classes(n)
+    for w, c in _word_dp(T, (0,), n, closed=True).items():
+        readings[classes[w]] += c
+    return {cls: _halved(r, cls) for cls, r in readings.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +348,8 @@ def census(T: Tournament) -> CensusReport:
     if n >= 2:
         words = enumeration_word_counts(T, n)
         for cls in path_type_classes(n - 1):
-            e = words.get(word_int(cls), 0)
-            if is_symmetric(cls):
-                if e % 2:
-                    raise ParityViolationError(f"odd count {e} for symmetric {cls}")
-                path_counts[cls] = e // 2
-            else:
-                path_counts[cls] = e
-    cycle_counts: dict[SignedTuple, int] = {}
-    if n >= 3:
-        for cls in cycle_type_classes(n):
-            cycle_counts[cls] = count_cycles(T, cls)
+            path_counts[cls] = _per_path(words.get(word_int(cls), 0), cls)
+    cycle_counts = _cycle_census(T) if n >= 3 else {}
     return CensusReport(n, path_counts, cycle_counts)
 
 
@@ -373,11 +381,7 @@ def oracle_census(T: Tournament) -> CensusReport:
         for rest in permutations(range(1, n)):
             if rest[0] > rest[-1]:
                 continue
-            vs = (0,) + rest
-            w = _word_of(T, vs)
-            if T.has_arc(vs[-1], 0):
-                w |= 1 << (n - 1)
-            cycle_counts[classes[w]] += 1
+            cycle_counts[classes[_closed_word_of(T, (0,) + rest)]] += 1
     return CensusReport(n, path_counts, cycle_counts)
 
 
@@ -394,11 +398,8 @@ def oracle_cycle_sets(T: Tournament) -> dict[SignedTuple, set[frozenset[Arc]]]:
         if rest[0] > rest[-1]:
             continue
         vs = (0,) + rest
-        w = _word_of(T, vs)
-        if T.has_arc(vs[-1], 0):
-            w |= 1 << (n - 1)
         arcs = frozenset(_closed_arcs(T, vs))
-        out.setdefault(classes[w], set()).add(arcs)
+        out.setdefault(classes[_closed_word_of(T, vs)], set()).add(arcs)
     return out
 
 
@@ -424,10 +425,7 @@ def clones(T: Tournament, seq: Sequence[int]) -> list[list[int]]:
     """
     vs = _checked_sequence(T, seq, 3)
     m = len(vs)
-    w = _word_of(T, vs)
-    if T.has_arc(vs[-1], vs[0]):
-        w |= 1 << (m - 1)
-    t = period_info(_cyclic_runs_from_word(w, m)).t
+    t = period_info(_cyclic_runs_from_word(_closed_word_of(T, vs), m)).t
     step = m // t
     return [[vs[j] for j in range(i, m, step)] for i in range(step)]
 

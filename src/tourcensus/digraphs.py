@@ -9,11 +9,16 @@ components collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 
-from .census import count_cycles, count_paths
+from .census import (
+    _cyclic_runs_from_word,
+    _per_cycle,
+    _per_path,
+    _runs_from_word,
+    _word_dp,
+    word_int,
+)
 from .errors import DivisibilityViolationError, IllFormedError, ParseError, TypeTooLongError
 from .tournaments import Tournament, seed_stream
 from .type_algebra import (
@@ -133,19 +138,17 @@ class Digraph2Spec:
 
 
 def _span_table(T: Tournament, comp: Component) -> dict[int, int]:
-    """mask -> number of copies of comp using exactly that vertex set."""
-    kind, tup = comp[0], comp[1]
-    k = _component_order(comp)
-    counter = count_paths if kind == "P" else count_cycles
-    table: dict[int, int] = {}
-    for subset in combinations(range(T.n), k):
-        c = counter(T.induced(subset), tup)
-        if c:
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            table[mask] = c
-    return table
+    """mask -> number of copies of comp using exactly that vertex set.
+
+    One fixed-word DP over the whole host, its final states summed per used
+    mask: paths start everywhere and halve symmetric types, cycles close back
+    to their start and divide by delta * t, as count_paths/count_cycles do.
+    """
+    kind, tup = comp
+    closed = kind == "C"
+    per_copy = _per_cycle if closed else _per_path
+    readings = _word_dp(T, range(T.n), arc_sum(tup), word_int(tup), closed=closed, by_mask=True)
+    return {mask: per_copy(r, tup) for mask, r in readings.items()}
 
 
 class CopyCounter:
@@ -291,27 +294,10 @@ def random_digraph_spec(order: int, seed: int) -> Digraph2Spec:
             kind = "C" if next(stream) & 1 else "P"
             arcs = k if kind == "C" else k - 1
             word = next(stream)
-            tup = _word_tuple(word, arcs)
             if kind == "C":
-                comps.append(("C", cycle_canonical(_wrap_merge(tup))))
+                comps.append(("C", cycle_canonical(_cyclic_runs_from_word(word, arcs))))
             else:
-                comps.append(("P", path_canonical(tup)))
+                comps.append(("P", path_canonical(_runs_from_word(word, arcs))))
         left -= k
     return Digraph2Spec(tuple(comps))
 
-
-def _word_tuple(word: int, arcs: int) -> SignedTuple:
-    runs: list[int] = []
-    for i in range(arcs):
-        s = 1 if word >> i & 1 else -1
-        if runs and (runs[-1] > 0) == (s > 0):
-            runs[-1] += s
-        else:
-            runs.append(s)
-    return tuple(runs)
-
-
-def _wrap_merge(tup: SignedTuple) -> SignedTuple:
-    if len(tup) > 1 and (tup[0] > 0) == (tup[-1] > 0):
-        return (tup[-1] + tup[0],) + tup[1:-1]
-    return tup

@@ -205,6 +205,13 @@ def cycle_orbit(beta: Iterable[int]) -> list[SignedTuple]:
 
 
 def cycle_canonical(beta: Iterable[int]) -> SignedTuple:
+    return _cycle_canonical(tuple(beta))
+
+
+# caches of pure type functions, sized for every standard tuple of arc sum <= 16;
+# whole orbits are not kept, as they would hold several times the memory
+@lru_cache(maxsize=1 << 16)
+def _cycle_canonical(beta: SignedTuple) -> SignedTuple:
     return cycle_orbit(beta)[0]
 
 
@@ -225,7 +232,11 @@ def period_info(tup: Iterable[int]) -> PeriodInfo:
     The minimum always divides the length, but every offset is scanned so the
     definition is applied literally.
     """
-    t = tuple(tup)
+    return _period_info(tuple(tup))
+
+
+@lru_cache(maxsize=1 << 16)
+def _period_info(t: SignedTuple) -> PeriodInfo:
     if not t:
         raise EmptyTypeError("empty tuple has no period")
     s = len(t)
@@ -238,6 +249,11 @@ def period_info(tup: Iterable[int]) -> PeriodInfo:
 def delta(gamma: Iterable[int]) -> int:
     """Class-size multiplier for a cycle type: the cycle's arc count for a
     circuit, 2 for a direction-symmetric type, 1 otherwise."""
+    return _delta(tuple(gamma))
+
+
+@lru_cache(maxsize=1 << 16)
+def _delta(gamma: SignedTuple) -> int:
     g = check_standard_cycle(gamma)
     if len(g) == 1:
         return abs(g[0])  # arc count divided by t, and t = 1 for circuits

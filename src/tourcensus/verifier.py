@@ -17,6 +17,8 @@ from typing import Callable, Iterator
 
 from .census import (
     ORACLE_MAX_ORDER,
+    _cycle_census,
+    _per_path,
     count_cycles,
     count_enumerations,
     count_paths,
@@ -30,7 +32,6 @@ from .census import (
 )
 from .digraphs import CopyCounter, all_digraph_specs, random_digraph_spec
 from .errors import (
-    ParityViolationError,
     ScopeTooLargeError,
     TooShortError,
     TourCensusError,
@@ -176,12 +177,7 @@ def _vio(scope: Scope, index: int, **fields) -> dict:
 
 def _f_from_words(words: dict[int, int], alpha: SignedTuple) -> int:
     """Path count from a precomputed word table; halves symmetric types."""
-    e = words.get(word_int(alpha), 0)
-    if is_symmetric(alpha):
-        if e % 2:
-            raise ParityViolationError(f"odd enumeration count {e} for symmetric {alpha}")
-        return e // 2
-    return e
+    return _per_path(words.get(word_int(alpha), 0), alpha)
 
 
 def _need_oracle(scope: Scope) -> None:
@@ -205,9 +201,9 @@ def _path_sums(order: int, max_arc_sum: int | None) -> tuple[int, ...]:
 def _cycle_sums(order: int, max_arc_sum: int | None) -> tuple[int, ...]:
     if max_arc_sum is None:
         return (order,) if order >= 3 else ()
-    if not 1 <= max_arc_sum <= order:
+    if not 3 <= max_arc_sum <= order:
         raise TypeTooLongError(
-            f"cycle arc sums must lie in 1..{order}, got bound {max_arc_sum}"
+            f"cycle arc sums must lie in 3..{order}, got bound {max_arc_sum}"
         )
     return tuple(range(3, max_arc_sum + 1))
 
@@ -240,21 +236,17 @@ def _check_cycle_identity(scope: Scope, max_arc_sum: int | None):
     sums = _cycle_sums(scope.order, max_arc_sum)
     tally = _Tally()
     for index, T in scope.tournaments():
-        cache: dict[SignedTuple, int] = {}
-
-        def g(tup: SignedTuple) -> int:
-            canon = cycle_canonical(tup)
-            val = cache.get(canon)
-            if val is None:
-                val = cache[canon] = count_cycles(T, canon)
-            return val
-
         for m in sums:
+            # spanning counts come from one vertex-0 sweep, shorter sums per type
+            if m == scope.order:
+                g = _cycle_census(T)
+            else:
+                g = {c: count_cycles(T, c) for c in cycle_type_classes(m)}
             for beta in standard_tuples(m, "cycle"):
                 neg = negate(beta)
                 if beta > neg:
                     continue
-                lhs, rhs = g(beta), g(neg)
+                lhs, rhs = g[cycle_canonical(beta)], g[cycle_canonical(neg)]
                 tally.checked += 1
                 if lhs != rhs:
                     tally.add(_vio(scope, index, tournament=T.serialize(),
@@ -463,9 +455,9 @@ def _check_complement_bridge(scope: Scope, _):
                 tally.add(_vio(scope, index, tournament=T.serialize(),
                                type=format_type(alpha), lhs=lhs, rhs=rhs))
         if n >= 3:
+            cycles, cycles_rev = _cycle_census(T), _cycle_census(rev)
             for beta in cycle_type_classes(n):
-                lhs = count_cycles(T, beta)
-                rhs = count_cycles(rev, beta)
+                lhs, rhs = cycles[beta], cycles_rev[beta]
                 tally.checked += 1
                 if lhs != rhs:
                     tally.add(_vio(scope, index, tournament=T.serialize(),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tourcensus import (
     BadSubsetError,
+    all_tournaments,
     ScopeTooLargeError,
     TooShortError,
     Tournament,
@@ -34,6 +35,7 @@ from tourcensus import (
     oracle_cycle_sets,
     path_classes,
     path_type_classes,
+    random_tournaments,
     standard_tuples,
     transitive,
     word_int,
@@ -211,6 +213,14 @@ def test_census_matches_oracle(T):
     b = oracle_census(T)
     assert a.path_counts == b.path_counts
     assert a.cycle_counts == b.cycle_counts
+
+
+def test_cycle_census_from_vertex_zero_matches_oracle():
+    # the census reads cycles only from vertex 0; the oracle reads every cycle
+    hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
+    hosts += [T for n, k in ((6, 8), (7, 4), (8, 2)) for T in random_tournaments(n, 40 + n, k)]
+    for T in hosts:
+        assert census(T).cycle_counts == oracle_census(T).cycle_counts, T.serialize()
 
 
 def test_census_report_shape():

@@ -1,9 +1,14 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tourcensus
 import tourcensus.verifier as verify_mod
 from tourcensus.cli import main
 
@@ -105,6 +110,13 @@ def test_verify_max_arc_sum(capsys):
     code, out, err = run(capsys, "verify", "--property", "rosenfeld",
                          "--exhaustive", "--order", "5", "--max-arc-sum", "3")
     assert code == 2
+
+
+def test_verify_cycle_arc_sum_below_three(capsys):
+    code, out, err = run(capsys, "verify", "--property", "cycle-identity", "--random",
+                         "--order", "6", "--samples", "3", "--max-arc-sum", "2")
+    assert code == 2
+    assert not out and "3..6" in err
 
 
 def test_verify_exit_one_on_violation(capsys, monkeypatch):
@@ -226,3 +238,17 @@ def test_byte_identical_stdout(capsys):
     da, db = json.loads(a), json.loads(b)
     da.pop("ms"), db.pop("ms")
     assert da == db
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(tourcensus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tourcensus", "census", "--random", "--order", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert proc.stdout.count("\n") == 1
+    assert doc["n"] == 5 and doc["seed"] == 0

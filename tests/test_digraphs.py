@@ -1,5 +1,8 @@
 """Unit tests for pattern digraph copy counting."""
 
+import hashlib
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +17,17 @@ from tourcensus import (
     all_digraph_specs,
     check_complement_invariance,
     count_copies,
+    cycle_canonical,
+    cycle_type_classes,
     count_cycles,
     count_paths,
+    path_type_classes,
     random_digraph_spec,
+    random_tournaments,
     star_counterexample,
     transitive,
 )
+from tourcensus.digraphs import _span_table
 
 TT3 = Tournament.parse("3:111")
 TT4 = transitive(4)
@@ -140,6 +148,37 @@ def test_counter_reuse_matches_one_shot(T):
             assert counter.count(spec) == count_copies(T, spec)
 
 
+def reference_span_table(T, comp):
+    """One induced subtournament and one fresh count per vertex subset."""
+    kind, tup = comp
+    size = sum(abs(x) for x in tup) + (kind == "P")
+    counter = count_paths if kind == "P" else count_cycles
+    table = {}
+    for subset in combinations(range(T.n), size):
+        c = counter(T.induced(subset), tup)
+        if c:
+            table[sum(1 << v for v in subset)] = c
+    return table
+
+
+def test_span_table_matches_per_subset_counts():
+    comps = [("P", t) for m in range(1, 5) for t in path_type_classes(m)]
+    comps += [("C", t) for m in range(3, 6) for t in cycle_type_classes(m)]
+    for n in range(5, 10):
+        (T,) = random_tournaments(n, 70 + n, 1)
+        for comp in comps:
+            assert _span_table(T, comp) == reference_span_table(T, comp), (T.serialize(), comp)
+
+
+def test_span_table_spanning_cycle():
+    (T,) = random_tournaments(8, 3, 1)
+    comp = ("C", cycle_canonical((1, -2, 3, -2)))
+    table = _span_table(T, comp)
+    assert table == reference_span_table(T, comp)
+    assert set(table) <= {(1 << 8) - 1}
+    assert sum(table.values()) == count_cycles(T, comp[1])
+
+
 def test_check_complement_invariance_example():
     assert check_complement_invariance(TT3, Digraph2Spec.parse("P(1,-1)")) == (1, 1)
 
@@ -175,6 +214,18 @@ def test_random_digraph_spec_deterministic():
     assert a == b
     assert a.order == 6
     assert random_digraph_spec(1, 3).order == 1
+
+
+def test_random_digraph_spec_renders_unchanged():
+    # sha256 of the renders for orders 1..12 and seeds 0..99, recorded when the
+    # sign-word helpers of digraphs.py were replaced by those of census.py
+    renders = "\n".join(random_digraph_spec(order, seed).render()
+                        for order in range(1, 13) for seed in range(100))
+    digest = hashlib.sha256(renders.encode()).hexdigest()
+    assert digest == "1353f7134186c323f60dce27040d8992e5d468151f865d46c75b63c20ef24187"
+    assert [random_digraph_spec(9, seed).render() for seed in range(3)] == [
+        "P(4,-2,1);V", "C(2,-4);C(3)", "P(1);P(4);V;V",
+    ]
 
 
 def test_random_digraph_spec_varies():

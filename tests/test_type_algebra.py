@@ -193,6 +193,15 @@ def test_cycle_orbit_contents():
     assert cycle_orbit((2, -1)) == [(1, -2), (2, -1), (-1, 2), (-2, 1)]
 
 
+def test_cycle_orbit_returns_a_fresh_list():
+    # the orbit is cached; mutating one caller's list must not reach the next
+    orbit = cycle_orbit((2, -1))
+    orbit.clear()
+    assert cycle_orbit([2, -1]) == [(1, -2), (2, -1), (-1, 2), (-2, 1)]
+    assert cycle_orbit((2, -1)) is not cycle_orbit((2, -1))
+    assert cycle_canonical((2, -1)) == (1, -2)
+
+
 def test_cycle_canonical_examples():
     assert cycle_canonical((2, -1)) == (1, -2)
     assert cycle_canonical((-2, 1)) == (1, -2)

@@ -100,6 +100,16 @@ def test_max_arc_sum_gating():
         verify("cycle-identity", scope, max_arc_sum=5)
 
 
+def test_cycle_arc_sum_bound_below_three_rejected():
+    # no cycle has fewer than 3 arcs: bounds 1 and 2 would check nothing
+    scope = Scope(mode="random", order=6, samples=3, seed=0)
+    for bound in (1, 2):
+        with pytest.raises(TypeTooLongError, match=r"3\.\.6"):
+            verify("cycle-identity", scope, max_arc_sum=bound)
+    # three (beta, -beta) pairs of arc sum 3 per sample
+    assert verify("cycle-identity", scope, max_arc_sum=3).checked == 3 * 3
+
+
 def test_oracle_backed_properties_reject_large_orders():
     big = Scope(mode="random", order=9, samples=1, seed=0)
     for pid in ("pe-ratio", "class-sizes", "eqsym", "count-formula"):
