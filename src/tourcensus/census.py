@@ -3,11 +3,16 @@
 Two engines live here.  One subset DP, ``_word_dp``, counts vertex sequences
 whose arc signs spell a fixed word or, in one prefix-tree walk, every word;
 paths halve the tally of symmetric types, cycles close back to the start and
-divide by delta * t, the readings each cycle of the type contributes.  The
-Hamiltonian cycle census walks only from vertex 0: every such cycle has
-exactly two readings starting there, one per direction.  The brute-force
-oracle classifies raw permutations and is kept deliberately naive so the two
-engines can check each other.
+divide by delta * t, the readings each cycle of the type contributes.
+
+The spanning census is one closed walk from vertex 0.  Every Hamiltonian
+cycle has exactly two readings starting there, one per direction, so each
+cycle class tally is halved.  Every Hamiltonian path closes into exactly one
+Hamiltonian cycle, through the arc between its ends, so cutting each closed
+reading at each of its n arcs yields every Hamiltonian path sequence exactly
+once, and no open walk from all n starts is needed.  The brute-force oracle
+classifies raw permutations and is kept deliberately naive so the two engines
+can check each other.
 """
 
 from __future__ import annotations
@@ -248,6 +253,8 @@ def enumeration_word_counts(T: Tournament, m: int) -> dict[int, int]:
     """
     if not 2 <= m <= T.n:
         raise TypeTooLongError(f"word sweep needs 2 <= m <= {T.n}, got {m}")
+    if m == T.n:
+        return _spanning_census(T)[0]
     return _word_dp(T, range(T.n), m - 1)
 
 
@@ -302,16 +309,31 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
     return _per_cycle(readings, canon)
 
 
-def _cycle_census(T: Tournament) -> dict[SignedTuple, int]:
-    """Count of every Hamiltonian cycle type, zeros included, in one sweep:
-    each such cycle has exactly two readings from vertex 0, one per direction,
-    so the closed words from vertex 0 are bucketed by class and halved."""
+def _spanning_census(T: Tournament) -> tuple[dict[int, int], dict[SignedTuple, int]]:
+    """Hamiltonian path word tallies and every Hamiltonian cycle type count,
+    zeros included, from one closed walk from vertex 0.
+
+    Each such cycle has exactly two readings from vertex 0, one per direction,
+    so the closed words are bucketed by class and halved.  Each Hamiltonian
+    path sequence closes, through the arc between its ends, into exactly one
+    of these readings rotated, so cutting a closed word ``w`` at each of its
+    n arcs gives n path words, the n-1 arcs read from the cut.  Below order 3
+    there are no cycles to cut, and the path words come from the open walk.
+    """
     n = T.n
+    if n < 3:
+        return _word_dp(T, range(n), n - 1), {}
+    low = (1 << (n - 1)) - 1
+    paths: dict[int, int] = {}
     readings = dict.fromkeys(cycle_type_classes(n), 0)
     classes = _cycle_word_classes(n)
     for w, c in _word_dp(T, (0,), n, closed=True).items():
         readings[classes[w]] += c
-    return {cls: _halved(r, cls) for cls, r in readings.items()}
+        ww = w | w << n
+        for j in range(n):
+            p = ww >> j & low
+            paths[p] = paths.get(p, 0) + c
+    return paths, {cls: _halved(r, cls) for cls, r in readings.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +367,21 @@ def census(T: Tournament) -> CensusReport:
             "use count_paths/count_cycles for single types"
         )
     path_counts: dict[SignedTuple, int] = {}
+    cycle_counts: dict[SignedTuple, int] = {}
     if n >= 2:
-        words = enumeration_word_counts(T, n)
+        words, cycle_counts = _spanning_census(T)
         for cls in path_type_classes(n - 1):
             path_counts[cls] = _per_path(words.get(word_int(cls), 0), cls)
-    cycle_counts = _cycle_census(T) if n >= 3 else {}
     return CensusReport(n, path_counts, cycle_counts)
+
+
+def _closed_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """Every Hamiltonian cycle on vertices 0..n-1 once, as the reading from
+    vertex 0 whose second vertex is below its last; plain permutations."""
+    for rest in permutations(range(1, n)):
+        if rest[0] > rest[-1]:
+            continue
+        yield (0,) + rest
 
 
 def _oracle_guard(T: Tournament) -> None:
@@ -378,10 +409,8 @@ def oracle_census(T: Tournament) -> CensusReport:
     if n >= 3:
         cycle_counts = {cls: 0 for cls in cycle_type_classes(n)}
         classes = _cycle_word_classes(n)
-        for rest in permutations(range(1, n)):
-            if rest[0] > rest[-1]:
-                continue
-            cycle_counts[classes[_closed_word_of(T, (0,) + rest)]] += 1
+        for vs in _closed_sequences(n):
+            cycle_counts[classes[_closed_word_of(T, vs)]] += 1
     return CensusReport(n, path_counts, cycle_counts)
 
 
@@ -394,10 +423,7 @@ def oracle_cycle_sets(T: Tournament) -> dict[SignedTuple, set[frozenset[Arc]]]:
     if n < 3:
         return out
     classes = _cycle_word_classes(n)
-    for rest in permutations(range(1, n)):
-        if rest[0] > rest[-1]:
-            continue
-        vs = (0,) + rest
+    for vs in _closed_sequences(n):
         arcs = frozenset(_closed_arcs(T, vs))
         out.setdefault(classes[_closed_word_of(T, vs)], set()).add(arcs)
     return out

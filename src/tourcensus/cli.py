@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", metavar="FILE", help="file of serializations, one per line")
     src.add_argument("--random", action="store_true", help="draw one seeded tournament")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--threads", type=int, default=1, metavar="K")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", help="sweep a counting property over a tournament scope")
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-arc-sum", type=int, default=None, metavar="M",
                    help="also check non-spanning types up to this arc sum "
                         "(path-identity and cycle-identity only)")
-    p.add_argument("--threads", type=int, default=1, metavar="K")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("hcount", help="count copies of a pattern digraph in a tournament")
@@ -97,8 +95,6 @@ def _require_order(T: Tournament, order: int, where: str) -> None:
 
 
 def _cmd_census(args) -> tuple[int, dict]:
-    if args.threads < 1:
-        raise TourCensusError("--threads must be at least 1")
     if args.tournament is not None:
         T = Tournament.parse(args.tournament)
         _require_order(T, args.order, "the given tournament")
@@ -116,8 +112,6 @@ def _cmd_census(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    if args.threads < 1:
-        raise TourCensusError("--threads must be at least 1")
     mode = "exhaustive" if args.exhaustive else "random"
     scope = Scope(mode=mode, order=args.order,
                   samples=args.samples if mode == "random" else 0,

@@ -119,12 +119,16 @@ class Tournament:
 
 
 def parse(text: str) -> Tournament:
-    """Parse the ``n:bits`` form; errors carry the byte offset."""
+    """Parse the ``n:bits`` form; errors carry the byte offset.
+
+    The order is one or more ASCII digits; ``str.isdigit`` alone would also
+    pass digits such as ``'٣'`` or ``'²'``, which ``int`` reads or rejects.
+    """
     colon = text.find(":")
     if colon < 0:
-        raise ParseError("missing ':'", len(text))
+        raise ParseError("missing ':'", len(text.encode()))
     head = text[:colon]
-    if not head.isdigit():
+    if not (head.isascii() and head.isdigit()):
         raise ParseError(f"bad order {head!r}", 0)
     n = int(head)
     if n > MAX_ORDER:
@@ -132,7 +136,7 @@ def parse(text: str) -> Tournament:
     body = text[colon + 1 :]
     m = n * (n - 1) // 2
     if len(body) != m:
-        raise ParseError(f"expected {m} relation bits, got {len(body)}", colon + 1 + len(body))
+        raise ParseError(f"expected {m} relation bits, got {len(body)}", len(text.encode()))
     bits = 0
     for k, ch in enumerate(body):
         if ch == "1":

@@ -14,12 +14,16 @@ same way in any reachable input.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyTypeError, IllFormedError, ParseError
 
 SignedTuple = tuple[int, ...]
+
+_SPACE = " \t\n\r\f\v"
+_INTEGER = re.compile(r"-?[0-9]+")
 
 __all__ = [
     "SignedTuple",
@@ -360,23 +364,29 @@ def format_type(tup: Iterable[int]) -> str:
 
 
 def parse_type(text: str) -> SignedTuple:
-    """Parse ``"(2,-1, 1)"`` into ``(2, -1, 1)``; whitespace is tolerated."""
-    stripped = text.strip()
+    """Parse ``"(2,-1, 1)"`` into ``(2, -1, 1)``; ASCII whitespace is tolerated.
+
+    Entries are an optional ``-`` and ASCII digits, nothing else: ``int``
+    alone would also take ``1_0``, ``+1`` and non-ASCII digits.
+    """
+    if not text.isascii():  # so every offset below is a byte offset
+        bad = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ParseError(f"non-ASCII character {text[bad]!r}", bad)
+    stripped = text.strip(_SPACE)
     base = text.index(stripped[0]) if stripped else 0
     if not stripped.startswith("("):
         raise ParseError("expected '('", base)
     if not stripped.endswith(")"):
         raise ParseError("expected ')'", base + len(stripped))
     body = stripped[1:-1]
-    if not body.strip():
+    if not body.strip(_SPACE):
         raise ParseError("empty tuple", base + 1)
     entries = []
     offset = base + 1
     for piece in body.split(","):
-        token = piece.strip()
-        try:
-            entries.append(int(token))
-        except ValueError:
-            raise ParseError(f"bad integer {token!r}", offset) from None
+        token = piece.strip(_SPACE)
+        if not _INTEGER.fullmatch(token):
+            raise ParseError(f"bad integer {token!r}", offset)
+        entries.append(int(token))
         offset += len(piece) + 1
     return tuple(entries)

@@ -40,6 +40,7 @@ from tourcensus import (
     transitive,
     word_int,
 )
+from tourcensus.census import _word_dp
 
 TT3 = Tournament.parse("3:111")
 C3 = Tournament.parse("3:101")
@@ -163,6 +164,18 @@ def test_enumeration_word_counts_matches_count_enumerations():
         assert words.get(word_int(alpha), 0) == count_enumerations(T4, alpha)
 
 
+def test_spanning_word_counts_cut_matches_open_walk():
+    # spanning words come from cutting closed readings from vertex 0; the open
+    # walk from every start is the reference they must reproduce exactly
+    hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
+    hosts += [T for n, k in ((6, 4), (7, 3), (8, 2), (9, 2), (10, 2))
+              for T in random_tournaments(n, 90 + n, k)]
+    for T in hosts:
+        words = enumeration_word_counts(T, T.n)
+        assert words == _word_dp(T, range(T.n), T.n - 1), T.serialize()
+        assert sum(words.values()) == factorial(T.n), T.serialize()
+
+
 def test_enumeration_word_counts_guard():
     with pytest.raises(TypeTooLongError):
         enumeration_word_counts(TT3, 1)
@@ -216,11 +229,14 @@ def test_census_matches_oracle(T):
 
 
 def test_cycle_census_from_vertex_zero_matches_oracle():
-    # the census reads cycles only from vertex 0; the oracle reads every cycle
+    # the census reads cycles only from vertex 0 and paths by cutting those
+    # readings; the oracle classifies every permutation
     hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
     hosts += [T for n, k in ((6, 8), (7, 4), (8, 2)) for T in random_tournaments(n, 40 + n, k)]
     for T in hosts:
-        assert census(T).cycle_counts == oracle_census(T).cycle_counts, T.serialize()
+        ours, oracle = census(T), oracle_census(T)
+        assert ours.cycle_counts == oracle.cycle_counts, T.serialize()
+        assert ours.path_counts == oracle.path_counts, T.serialize()
 
 
 def test_census_report_shape():

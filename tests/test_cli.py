@@ -70,12 +70,13 @@ def test_census_random_deterministic(capsys):
 
 
 def test_census_threads_flag(capsys):
-    code, doc = run_json(capsys, "census", "--order", "3", "--tournament", "3:111",
-                         "--threads", "4")
-    assert code == 0
+    # the flag was accepted and ignored; it is gone from census and verify
     code, out, err = run(capsys, "census", "--order", "3", "--tournament", "3:111",
-                         "--threads", "0")
-    assert code == 2
+                         "--threads", "4")
+    assert code == 2 and not out and "--threads" in err
+    code, out, err = run(capsys, "verify", "--property", "path-identity",
+                         "--exhaustive", "--order", "3", "--threads", "1")
+    assert code == 2 and not out and "--threads" in err
 
 
 # --- verify ---------------------------------------------------------------------
@@ -87,6 +88,17 @@ def test_verify_pass_exit_zero(capsys):
     assert doc["pass"] is True
     assert doc["checked"] == 256
     assert doc["scope"] == {"mode": "exhaustive", "order": 4}
+
+
+def test_verify_vacuous_pass_flagged(capsys):
+    for argv in (("path-identity", "1"), ("szele-floor", "0")):
+        code, doc = run_json(capsys, "verify", "--property", argv[0],
+                             "--exhaustive", "--order", argv[1])
+        assert code == 0
+        assert doc["checked"] == 0 and doc["pass"] is True and doc["vacuous"] is True
+    _, doc = run_json(capsys, "verify", "--property", "path-identity",
+                      "--exhaustive", "--order", "3")
+    assert "vacuous" not in doc
 
 
 def test_verify_random_scope(capsys):

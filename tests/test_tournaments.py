@@ -59,6 +59,21 @@ def test_parse_serialize_roundtrip(T):
     assert Tournament.parse(T.serialize()) == T
 
 
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.text("01", min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    .map(lambda bits: f"{n}:{bits}")))
+def test_serialize_parse_text_roundtrip(text):
+    assert Tournament.parse(text).serialize() == text
+
+
+def test_parse_rejects_non_ascii_orders():
+    # str.isdigit() passes both; int() reads the first and rejects the second
+    for text in ("\u0663:111", "\u00b2:", "3\u0661:1"):
+        with pytest.raises(ParseError, match="bad order") as exc:
+            Tournament.parse(text)
+        assert exc.value.offset == 0
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError, match="missing ':'"):
         Tournament.parse("3111")

@@ -380,3 +380,21 @@ def test_parse_type_errors():
     with pytest.raises(ParseError) as exc:
         parse_type("(2,x)")
     assert "byte" in str(exc.value)
+
+
+def test_parse_type_rejects_non_ascii_digit_grammar():
+    # the grammar is ASCII: '-', digits, commas, parentheses and ASCII spaces;
+    # int() and str.strip() alone would accept '1_0', '+1', '\u0663' and '\u3000'
+    for text, offset in (("(1_0)", 1), ("(2,+1)", 3), ("(\u0663)", 1), ("(2,\u00b2)", 3),
+                         ("(2)\u00e9", 3), ("\u3000(2)", 0), ("(2, \u0661)", 4)):
+        with pytest.raises(ParseError) as exc:
+            parse_type(text)
+        assert exc.value.offset == offset, text
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+       st.sampled_from(["", " ", "\t", "  \n"]))
+def test_parse_type_format_roundtrip_property(tup, pad):
+    text = format_type(tup)
+    assert parse_type(text) == tuple(tup)
+    assert parse_type(pad + text.replace(",", pad + "," + pad) + pad) == tuple(tup)

@@ -80,6 +80,14 @@ def test_report_json_shape():
     assert isinstance(doc["ms"], int)
 
 
+def test_vacuous_report_flagged():
+    for pid, order in (("path-identity", 1), ("szele-floor", 0), ("complement-bridge", 1)):
+        report = verify(pid, Scope(mode="exhaustive", order=order))
+        assert report.checked == 0 and report.passed and report.vacuous
+        assert report.to_json_dict()["vacuous"] is True
+    assert not verify("path-identity", Scope(mode="exhaustive", order=3)).vacuous
+
+
 def test_szele_floor_details():
     report = verify("szele-floor", Scope(mode="exhaustive", order=4))
     assert report.details == {"max": 5, "floor": 3}
