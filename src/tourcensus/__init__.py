@@ -100,11 +100,17 @@ from .verifier import (
     Scope,
     VerifyReport,
     list_types,
-    rosenfeld_check,
     verify,
 )
 
 __version__ = "0.1.0"
+
+
+def rosenfeld_check(scope: Scope) -> VerifyReport:
+    """The alternating-path special case of the path identity: the
+    ``rosenfeld`` sweep over ``scope``."""
+    return verify("rosenfeld", scope)
+
 
 __all__ = [
     "__version__",

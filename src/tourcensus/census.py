@@ -1,9 +1,10 @@
 """Exact counting of oriented paths, cycles and their enumerations.
 
 Two engines live here.  One subset DP, ``_word_dp``, counts vertex sequences
-whose arc signs spell a fixed word or, in one prefix-tree walk, every word;
-paths halve the tally of symmetric types, cycles close back to the start and
-divide by delta * t, the readings each cycle of the type contributes.
+whose arc signs spell any word of a set, walked as one trie so that words
+sharing a prefix share its steps, or every word of one length; paths halve
+the tally of symmetric types, cycles close back to the start and divide by
+delta * t, the readings each cycle of the type contributes.
 
 The spanning census is one closed walk from vertex 0.  Every Hamiltonian
 cycle has exactly two readings starting there, one per direction, so each
@@ -180,60 +181,110 @@ def classify_cycle(T: Tournament, seq: Sequence[int]) -> SignedTuple:
 # subset DP
 
 # DP state key: (used-vertex mask << 4) | last vertex.  Orders cap at 16, so
-# the last vertex always fits in the low nibble.
+# the last vertex always fits in the low nibble, and stepping to a new vertex
+# v adds (1 << (v + 4)) + v to the key with the last vertex cleared.
+
+
+def _step_table(low: int) -> tuple[tuple[int, ...], ...]:
+    """Key offsets of the vertices low..low+7 set in each candidate byte."""
+    table: list[tuple[int, ...]] = [()]
+    for v in range(low, low + 8):  # the bytes with bit v - low as their top bit
+        table += [steps + ((1 << (v + 4)) + v,) for steps in table]
+    return tuple(table)
+
+
+_LOW_STEPS, _HIGH_STEPS = _step_table(0), _step_table(8)
 
 
 def _advance(states: dict[int, int], masks: Sequence[int]) -> dict[int, int]:
     nxt: dict[int, int] = {}
     get = nxt.get
     for key, c in states.items():
-        mask = key >> 4
-        cand = masks[key & 15] & ~mask
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            k2 = ((mask | b) << 4) | (b.bit_length() - 1)
+        last = key & 15
+        base = key - last
+        cand = masks[last] & ~(key >> 4)
+        for s in _LOW_STEPS[cand & 255]:
+            k2 = base + s
             nxt[k2] = get(k2, 0) + c
+        if cand > 255:
+            for s in _HIGH_STEPS[cand >> 8]:
+                k2 = base + s
+                nxt[k2] = get(k2, 0) + c
     return nxt
 
 
-def _word_dp(T: Tournament, starts: Iterable[int], length: int, word: int | None = None,
-             closed: bool = False, by_mask: bool = False) -> dict[int, int]:
-    """The subset DP behind every count: vertex sequences from ``starts``
-    whose ``length`` arc signs spell a word (bit i set when arc i runs forward).
+# A word trie node is (children, ends): children holds (sign bit, node) pairs,
+# ends holds (closing bit, word) pairs for the words whose steps end there.
 
-    ``word`` fixes the word; ``None`` walks the whole prefix tree, so shared
-    prefixes share DP work.  With ``closed`` each start runs alone and the last
-    arc is the closing test back to it rather than a step to a new vertex.
-    Returns the sequence tally keyed by the used-vertex mask with ``by_mask``,
-    otherwise by word; zero tallies are left out.
+@lru_cache(maxsize=64)
+def _trie(length: int | None, words: tuple[tuple[int, int], ...] | None, closed: bool):
+    """Trie of ``words``, (arc count, packed signs) pairs.  With ``None`` it
+    holds every word of ``length`` arcs: one node per depth, shared by all
+    prefixes, whose ends carry no word, so the walk keys each by its signs.
+    The last arc of a closed word is its closing bit, not a step."""
+    if words is None:
+        node = ((), ((0, None), (1, None)) if closed else ((0, None),))
+        for _ in range(length - 1 if closed else length):
+            node = (((0, node), (1, node)), ())
+        return node
+    items = [(w, n - 1 if closed else n, w >> (n - 1) & 1 if closed else 0, (n, w))
+             for n, w in words]
+
+    def node_of(items: list, depth: int):
+        children = []
+        for bit in (0, 1):
+            below = [it for it in items if it[1] > depth and it[0] >> depth & 1 == bit]
+            if below:
+                children.append((bit, node_of(below, depth + 1)))
+        return tuple(children), tuple((it[2], it[3]) for it in items if it[1] == depth)
+
+    return node_of(items, 0)
+
+
+def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
+             words: Iterable[tuple[int, int]] | None = None, closed: bool = False,
+             by_mask: bool = False) -> dict:
+    """The subset DP behind every count: vertex sequences from ``starts``
+    whose arc signs spell a word (bit i set when arc i runs forward).
+
+    ``words`` is a set of (arc count, packed signs) pairs of any lengths;
+    ``None`` means every word of ``length`` arcs.  The set is walked as one
+    trie, so words that share a prefix share its DP steps, and a word's tally
+    is read at the node where it ends.  With ``closed`` each start runs alone
+    and a word's last arc is the closing test back to it rather than a step.
+    Returns the tally per word, as given or packed with ``None``; with
+    ``by_mask`` a dict per word from used-vertex mask to tally.  Zero tallies
+    are left out.
     """
     out_masks, in_masks = T.out_masks, T.in_masks
-    steps = length - 1 if closed else length
-    counts: dict[int, int] = {}
-    # depth-first over the word prefixes; a node's states are dropped once its
-    # children exist, so a fixed word holds two levels, not the whole path
+    step_masks = (in_masks, out_masks)
+    root = _trie(length, None if words is None else tuple(words), closed)
+    counts: dict = {}
+    # depth-first over the trie, carrying the signs walked so far; a node's
+    # states are dropped once its children exist, so a single word holds two
+    # levels, not the whole path
     if closed:  # a forward closing arc into s leaves from in_masks[s]
-        stack = [(0, 0, {((1 << s) << 4) | s: 1}, (out_masks[s], in_masks[s])) for s in starts]
+        stack = [(root, 0, 0, {((1 << s) << 4) | s: 1}, (out_masks[s], in_masks[s]))
+                 for s in starts]
     else:
-        stack = [(0, 0, {((1 << v) << 4) | v: 1 for v in starts}, (-1, -1))]
+        stack = [(root, 0, 0, {((1 << v) << 4) | v: 1 for v in starts}, (-1, -1))]
     while stack:
-        depth, w, states, ends = stack.pop()
-        if depth < steps:
-            for bit, masks in ((0, in_masks), (1, out_masks)):
-                if word is None or word >> depth & 1 == bit:
-                    nxt = _advance(states, masks)
-                    if nxt:
-                        stack.append((depth + 1, w | bit << depth, nxt, ends))
-            continue
-        for bit in (1, 0) if closed else (0,):
-            if closed and word is not None and word >> depth & 1 != bit:
-                continue
-            keep = ends[bit]
+        (children, ends), depth, signs, states, keep = stack.pop()
+        for bit, child in children:
+            nxt = _advance(states, step_masks[bit])
+            if nxt:
+                stack.append((child, depth + 1, signs | bit << depth, nxt, keep))
+        for bit, word in ends:
+            if word is None:
+                word = signs | bit << depth
+            last_ok = keep[bit]
+            tally = counts.setdefault(word, {}) if by_mask else counts
             for key, c in states.items():
-                if keep >> (key & 15) & 1:
-                    k = key >> 4 if by_mask else w | bit << depth
-                    counts[k] = counts.get(k, 0) + c
+                if last_ok >> (key & 15) & 1:
+                    k = key >> 4 if by_mask else word
+                    tally[k] = tally.get(k, 0) + c
+            if by_mask and not tally:
+                del counts[word]
     return counts
 
 
@@ -243,7 +294,7 @@ def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
     a = check_standard_path(alpha)
     if arc_sum(a) + 1 > T.n:
         raise TypeTooLongError(f"type {a} needs {arc_sum(a) + 1} vertices, host has {T.n}")
-    return sum(_word_dp(T, range(T.n), arc_sum(a), word_int(a)).values())
+    return sum(_word_dp(T, range(T.n), words=((arc_sum(a), word_int(a)),)).values())
 
 
 def enumeration_word_counts(T: Tournament, m: int) -> dict[int, int]:
@@ -305,7 +356,7 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
     if m < 3:
         return 0  # tournaments are loopless and have no 2-cycles
     canon = cycle_canonical(b)
-    readings = sum(_word_dp(T, range(T.n), m, word_int(canon), closed=True).values())
+    readings = sum(_word_dp(T, range(T.n), words=((m, word_int(canon)),), closed=True).values())
     return _per_cycle(readings, canon)
 
 

@@ -16,7 +16,7 @@ import sys
 
 from .census import census
 from .digraphs import Digraph2Spec, check_complement_invariance, count_copies
-from .errors import TourCensusError
+from .errors import ScopeTooLargeError, TourCensusError
 from .tournaments import (
     Tournament,
     all_tournaments,
@@ -24,9 +24,11 @@ from .tournaments import (
     random_tournaments,
     transitive,
 )
-from .verifier import PROPERTY_IDS, Scope, rosenfeld_check, verify
+from .verifier import PROPERTY_IDS, Scope, verify
 
-__all__ = ["build_parser", "main", "entry"]
+__all__ = ["GEN_MAX_COUNT", "build_parser", "main", "entry"]
+
+GEN_MAX_COUNT = 1 << 16  # random tournaments one ``gen`` call may print
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep a counting property over a tournament scope")
     p.add_argument("--property", required=True, metavar="ID",
-                   choices=(*PROPERTY_IDS, "rosenfeld"))
+                   choices=PROPERTY_IDS)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", action="store_true")
@@ -117,12 +119,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
                   samples=args.samples if mode == "random" else 0,
                   seed=args.seed if mode == "random" else 0,
                   allow_large=args.allow_large)
-    if args.property == "rosenfeld":
-        if args.max_arc_sum is not None:
-            raise TourCensusError("--max-arc-sum does not apply to rosenfeld")
-        report = rosenfeld_check(scope)
-    else:
-        report = verify(args.property, scope, max_arc_sum=args.max_arc_sum)
+    report = verify(args.property, scope, max_arc_sum=args.max_arc_sum)
     return (0 if report.passed else 1), {"schema": 1, **report.to_json_dict()}
 
 
@@ -148,6 +145,8 @@ def _cmd_gen(args) -> tuple[int, dict]:
     else:
         if args.count < 1:
             raise TourCensusError("--count must be at least 1")
+        if args.count > GEN_MAX_COUNT:
+            raise ScopeTooLargeError(f"--count capped at {GEN_MAX_COUNT}, got {args.count}")
         ts = random_tournaments(args.order, args.seed, args.count)
     doc: dict = {"schema": 1, "order": args.order,
                  "tournaments": [T.serialize() for T in ts]}

@@ -9,6 +9,7 @@ components collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 from .census import (
@@ -79,7 +80,12 @@ def _canonical_component(kind: str, tup: SignedTuple | None) -> Component:
 
 @dataclass(frozen=True)
 class Digraph2Spec:
-    """Disjoint union of oriented paths, cycles and isolated vertices."""
+    """Disjoint union of oriented paths, cycles and isolated vertices.
+
+    ``order``, ``isolated``, the core and the repetition factorial (the
+    orderings of equal core components) follow from the components, so they
+    are set once here.
+    """
 
     components: tuple[Component, ...]
 
@@ -90,19 +96,19 @@ class Digraph2Spec:
             _canonical_component(c[0], c[1] if len(c) > 1 else None)
             for c in self.components
         )
-        object.__setattr__(self, "components", tuple(sorted(canon, key=_component_key)))
-
-    @property
-    def order(self) -> int:
-        return sum(_component_order(c) for c in self.components)
+        comps = tuple(sorted(canon, key=_component_key))
+        core = tuple(c for c in comps if c[0] != "V")
+        rep = 1
+        for _, group in _group_equal(core):
+            rep *= factorial(group)
+        for name, value in (("components", comps), ("_core", core), ("_repetitions", rep),
+                            ("order", sum(_component_order(c) for c in comps)),
+                            ("isolated", len(comps) - len(core))):
+            object.__setattr__(self, name, value)
 
     def core(self) -> tuple[Component, ...]:
         """Non-trivial components, vertex components stripped."""
-        return tuple(c for c in self.components if c[0] != "V")
-
-    @property
-    def isolated(self) -> int:
-        return sum(1 for c in self.components if c[0] == "V")
+        return self._core
 
     def render(self) -> str:
         parts = []
@@ -126,7 +132,7 @@ class Digraph2Spec:
                 try:
                     tup = parse_type(part[1:])
                 except ParseError as exc:
-                    raise ParseError(exc.args[0], offset + 1 + exc.offset) from None
+                    raise ParseError(exc.message, offset + 1 + exc.offset) from None
                 try:
                     comps.append(_canonical_component(part[0], tup))
                 except IllFormedError as exc:
@@ -137,22 +143,48 @@ class Digraph2Spec:
         return Digraph2Spec(tuple(comps))
 
 
-def _span_table(T: Tournament, comp: Component) -> dict[int, int]:
-    """mask -> number of copies of comp using exactly that vertex set.
+def _span_tables(T: Tournament, comps: tuple[Component, ...]) -> dict[Component, dict[int, int]]:
+    """Span table of every path and cycle component in ``comps``.
 
-    One fixed-word DP over the whole host, its final states summed per used
-    mask: paths start everywhere and halve symmetric types, cycles close back
-    to their start and divide by delta * t, as count_paths/count_cycles do.
+    A table maps a vertex mask to the number of copies of its component
+    using exactly that vertex set.  All paths share one open walk from every
+    start and all cycles one closed walk, each start alone; both are summed
+    per used mask, then paths halve symmetric types and cycles divide by
+    delta * t, as count_paths/count_cycles do.
     """
-    kind, tup = comp
-    closed = kind == "C"
-    per_copy = _per_cycle if closed else _per_path
-    readings = _word_dp(T, range(T.n), arc_sum(tup), word_int(tup), closed=closed, by_mask=True)
-    return {mask: per_copy(r, tup) for mask, r in readings.items()}
+    tables: dict[Component, dict[int, int]] = {}
+    for kind, per_copy in (("P", _per_path), ("C", _per_cycle)):
+        group = tuple(c for c in comps if c[0] == kind)
+        if not group:
+            continue
+        words = _component_words(group)
+        readings = _word_dp(T, range(T.n), words=words, closed=kind == "C", by_mask=True)
+        for comp, word in zip(group, words):
+            tally = readings.get(word, {})
+            per = {r: per_copy(r, comp[1]) for r in set(tally.values())}
+            tables[comp] = {mask: per[r] for mask, r in tally.items()}
+    return tables
+
+
+@lru_cache(maxsize=64)
+def _component_words(comps: tuple[Component, ...]) -> tuple[tuple[int, int], ...]:
+    """(arc count, packed signs) of each component, the words of _word_dp."""
+    return tuple((arc_sum(tup), word_int(tup)) for _, tup in comps)
+
+
+def _span_table(T: Tournament, comp: Component) -> dict[int, int]:
+    """mask -> number of copies of comp using exactly that vertex set."""
+    return _span_tables(T, (comp,))[comp]
 
 
 class CopyCounter:
-    """Copy counts of many patterns in one host, span tables cached."""
+    """Copy counts of patterns in one host, span tables cached.
+
+    ``count`` builds the tables of one pattern as it needs them;
+    ``counts`` builds every table a list of patterns is missing in one open
+    and one closed walk first, so components that share a sign prefix share
+    their DP steps.
+    """
 
     def __init__(self, T: Tournament):
         self.T = T
@@ -164,39 +196,38 @@ class CopyCounter:
             tbl = self._tables[comp] = _span_table(self.T, comp)
         return tbl
 
+    def counts(self, patterns: list[Digraph2Spec]) -> list[int]:
+        """Copy counts of every pattern, in order."""
+        missing = dict.fromkeys(c for H in patterns for c in H.core() if c not in self._tables)
+        self._tables.update(_span_tables(self.T, tuple(missing)))
+        return [self.count(H) for H in patterns]
+
     def count(self, H: Digraph2Spec) -> int:
         n = self.T.n
         if H.order > n:
             raise TypeTooLongError(f"pattern needs {H.order} vertices, host has {n}")
-        core = H.core()
-        tables = [self._table(c) for c in core]
+        tables = [self._table(c) for c in H.core()]
 
-        # ordered placements of the core components on disjoint vertex sets
-        memo: dict[tuple[int, int], int] = {}
-
-        def place(idx: int, used: int) -> int:
-            if idx == len(tables):
-                return 1
-            key = (idx, used)
-            val = memo.get(key)
-            if val is None:
-                val = 0
-                for mask, c in tables[idx].items():
+        # ordered placements of the core components on disjoint vertex sets,
+        # tallied by the union of the masks placed so far; the last component
+        # only needs the total
+        placed = {0: 1}
+        for table in tables[:-1]:
+            nxt: dict[int, int] = {}
+            for used, c in placed.items():
+                for mask, t in table.items():
                     if not mask & used:
-                        val += c * place(idx + 1, used | mask)
-                memo[key] = val
-            return val
-
-        ordered = place(0, 0)
-        rep = 1
-        for comp, group in _group_equal(core):
-            rep *= factorial(group)
+                        u = used | mask
+                        nxt[u] = nxt.get(u, 0) + c * t
+            placed = nxt
+        ordered = sum(c * t for used, c in placed.items()
+                      for mask, t in tables[-1].items() if not mask & used) if tables else 1
+        rep = H._repetitions
         if ordered % rep:
             raise DivisibilityViolationError(
                 f"{ordered} ordered placements not divisible by {rep}"
             )
-        core_order = sum(_component_order(c) for c in core)
-        return (ordered // rep) * comb(n - core_order, H.isolated)
+        return (ordered // rep) * comb(n - H.order + H.isolated, H.isolated)
 
 
 def _group_equal(comps: tuple[Component, ...]) -> list[tuple[Component, int]]:

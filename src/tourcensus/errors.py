@@ -42,6 +42,7 @@ class ParseError(TourCensusError, ValueError):
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (byte {offset})")
+        self.message = message
         self.offset = offset
 
 

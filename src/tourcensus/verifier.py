@@ -72,7 +72,6 @@ __all__ = [
     "VerifyReport",
     "list_types",
     "verify",
-    "rosenfeld_check",
 ]
 
 
@@ -433,11 +432,9 @@ def _check_h_invariance(scope: Scope, _):
 
 
 def _check_copy_pair(tally: _Tally, scope: Scope, index: int, T: Tournament, specs) -> None:
-    forward = CopyCounter(T)
-    reverse = CopyCounter(T.complement())
-    for spec in specs:
-        lhs = forward.count(spec)
-        rhs = reverse.count(spec)
+    forward = CopyCounter(T).counts(specs)
+    reverse = CopyCounter(T.complement()).counts(specs)
+    for spec, lhs, rhs in zip(specs, forward, reverse):
         tally.checked += 1
         if lhs != rhs:
             tally.add(_vio(scope, index, tournament=T.serialize(),
@@ -490,6 +487,27 @@ def _check_szele_floor(scope: Scope, _):
     return tally.checked, tally.violations, {"max": best, "floor": floor}
 
 
+def _check_rosenfeld(scope: Scope, _):
+    """Alternating-type specialization of the path identity: as many
+    strictly-alternating Hamiltonian paths lead with a forward arc as with a
+    backward one.  Flags the even-length case, where the type is symmetric
+    and the identity holds by definition."""
+    n = scope.order
+    if n < 2:
+        raise TooShortError("alternating paths need at least 2 vertices")
+    alpha = tuple(1 if i % 2 == 0 else -1 for i in range(n - 1))
+    tally = _Tally()
+    for index, T in scope.tournaments():
+        lhs = count_paths(T, alpha)
+        rhs = count_paths(T, negate(alpha))
+        tally.checked += 1
+        if lhs != rhs:
+            tally.add(_vio(scope, index, tournament=T.serialize(),
+                           type=format_type(alpha), lhs=lhs, rhs=rhs))
+    details = {"alpha": format_type(alpha), "trivial": is_symmetric(alpha)}
+    return tally.checked, tally.violations, details
+
+
 _CHECKERS: dict[str, Callable] = {
     "path-identity": _check_path_identity,
     "cycle-identity": _check_cycle_identity,
@@ -502,6 +520,7 @@ _CHECKERS: dict[str, Callable] = {
     "h-invariance": _check_h_invariance,
     "complement-bridge": _check_complement_bridge,
     "szele-floor": _check_szele_floor,
+    "rosenfeld": _check_rosenfeld,
 }
 
 PROPERTY_IDS = tuple(_CHECKERS)
@@ -523,27 +542,3 @@ def verify(property_id: str, scope: Scope, *, max_arc_sum: int | None = None) ->
     checked, violations, details = checker(scope, max_arc_sum)
     ms = round((time.perf_counter() - start) * 1000)
     return VerifyReport(property_id, scope, checked, violations, ms, details)
-
-
-def rosenfeld_check(scope: Scope) -> VerifyReport:
-    """Alternating-type specialization of the path identity: as many
-    strictly-alternating Hamiltonian paths lead with a forward arc as with a
-    backward one.  Flags the even-length case, where the type is symmetric
-    and the identity holds by definition."""
-    n = scope.order
-    if n < 2:
-        raise TooShortError("alternating paths need at least 2 vertices")
-    alpha = tuple(1 if i % 2 == 0 else -1 for i in range(n - 1))
-    trivial = is_symmetric(alpha)
-    start = time.perf_counter()
-    tally = _Tally()
-    for index, T in scope.tournaments():
-        lhs = count_paths(T, alpha)
-        rhs = count_paths(T, negate(alpha))
-        tally.checked += 1
-        if lhs != rhs:
-            tally.add(_vio(scope, index, tournament=T.serialize(),
-                           type=format_type(alpha), lhs=lhs, rhs=rhs))
-    ms = round((time.perf_counter() - start) * 1000)
-    details = {"alpha": format_type(alpha), "trivial": trivial}
-    return VerifyReport("rosenfeld", scope, tally.checked, tally.violations, ms, details)

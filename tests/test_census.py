@@ -40,7 +40,7 @@ from tourcensus import (
     transitive,
     word_int,
 )
-from tourcensus.census import _word_dp
+from tourcensus.census import _advance, _word_dp
 
 TT3 = Tournament.parse("3:111")
 C3 = Tournament.parse("3:101")
@@ -174,6 +174,61 @@ def test_spanning_word_counts_cut_matches_open_walk():
         words = enumeration_word_counts(T, T.n)
         assert words == _word_dp(T, range(T.n), T.n - 1), T.serialize()
         assert sum(words.values()) == factorial(T.n), T.serialize()
+
+
+def bit_loop_advance(states, masks):
+    """One DP step peeling the candidate set one bit at a time."""
+    nxt = {}
+    for key, c in states.items():
+        mask = key >> 4
+        cand = masks[key & 15] & ~mask
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            k2 = ((mask | b) << 4) | (b.bit_length() - 1)
+            nxt[k2] = nxt.get(k2, 0) + c
+    return nxt
+
+
+def test_advance_byte_tables_match_bit_loop():
+    # order 16: vertices 8-15 step through the high-byte table
+    for T in random_tournaments(16, 33, 3):
+        states = {((1 << v) << 4) | v: v + 1 for v in range(16)}
+        for bit in (1, 0, 0, 1, 1):
+            masks = T.out_masks if bit else T.in_masks
+            got = _advance(states, masks)
+            assert got == bit_loop_advance(states, masks), T.serialize()
+            assert any(key & 15 >= 8 for key in got)
+            states = got
+
+
+def brute_word_tallies(T, words, closed):
+    """(arc count, packed signs) -> {used mask: vertex sequences spelling it},
+    by trying every sequence; a closed word's last arc runs back to the start."""
+    out = {}
+    for length, w in words:
+        size = length if closed else length + 1
+        for seq in permutations(range(T.n), size):
+            ring = seq + seq[:1] if closed else seq
+            if all(T.has_arc(u, v) == bool(w >> i & 1)
+                   for i, (u, v) in enumerate(zip(ring, ring[1:]))):
+                mask = sum(1 << v for v in seq)
+                tally = out.setdefault((length, w), {})
+                tally[mask] = tally.get(mask, 0) + 1
+    return out
+
+
+def test_word_set_walk_matches_brute_force():
+    # words of several lengths in one trie, several of them prefixes of others
+    paths = ((1, 0b1), (2, 0b11), (2, 0b01), (3, 0b101), (3, 0b001), (4, 0b1101), (1, 0b0))
+    cycles = ((3, 0b111), (3, 0b011), (4, 0b0101), (4, 0b0011), (5, 0b00111), (5, 0b01011))
+    for T in [*random_tournaments(6, 12, 2), *random_tournaments(7, 13, 1)]:
+        for words, closed in ((paths, False), (cycles, True)):
+            by_mask = _word_dp(T, range(T.n), words=words, closed=closed, by_mask=True)
+            expect = brute_word_tallies(T, words, closed)
+            assert by_mask == expect, T.serialize()
+            totals = _word_dp(T, range(T.n), words=words, closed=closed)
+            assert totals == {w: sum(t.values()) for w, t in expect.items()}
 
 
 def test_enumeration_word_counts_guard():

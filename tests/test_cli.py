@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import tourcensus
+import tourcensus.cli as cli_mod
 import tourcensus.verifier as verify_mod
-from tourcensus.cli import main
+from tourcensus.cli import GEN_MAX_COUNT, main
 
 
 def run(capsys, *argv):
@@ -187,6 +188,13 @@ def test_hcount_bad_digraph(capsys):
     assert code == 2
 
 
+def test_hcount_bad_integer_offset_given_once(capsys):
+    code, out, err = run(capsys, "hcount", "--tournament", "3:111",
+                         "--digraph", "V;P(2,x)")
+    assert code == 2 and not out
+    assert err.count("(byte") == 1 and "(byte 6)" in err
+
+
 # --- gen ------------------------------------------------------------------------
 
 def test_gen_all(capsys):
@@ -223,6 +231,16 @@ def test_gen_bad_count(capsys):
     code, _, _ = run(capsys, "gen", "--random", "--seed", "1", "--count", "0",
                      "--order", "4")
     assert code == 2
+
+
+def test_gen_count_cap_generates_nothing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generated tournaments past the cap")
+
+    monkeypatch.setattr(cli_mod, "random_tournaments", refuse)
+    code, out, err = run(capsys, "gen", "--random", "--seed", "1",
+                         "--count", str(GEN_MAX_COUNT + 1), "--order", "4")
+    assert code == 2 and not out and "capped" in err
 
 
 # --- invocation shape -------------------------------------------------------------

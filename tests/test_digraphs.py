@@ -21,13 +21,14 @@ from tourcensus import (
     cycle_type_classes,
     count_cycles,
     count_paths,
+    path_canonical,
     path_type_classes,
     random_digraph_spec,
     random_tournaments,
     star_counterexample,
     transitive,
 )
-from tourcensus.digraphs import _span_table
+from tourcensus.digraphs import _span_table, _span_tables
 
 TT3 = Tournament.parse("3:111")
 TT4 = transitive(4)
@@ -177,6 +178,53 @@ def test_span_table_spanning_cycle():
     assert table == reference_span_table(T, comp)
     assert set(table) <= {(1 << 8) - 1}
     assert sum(table.values()) == count_cycles(T, comp[1])
+
+
+def test_batched_span_tables_match_single_and_per_subset():
+    # every component of order <= 6 in one batch: paths share one open walk,
+    # cycles one closed walk, and many words are prefixes of others
+    comps = [("P", t) for m in range(1, 6) for t in path_type_classes(m)]
+    comps += [("C", t) for m in range(3, 7) for t in cycle_type_classes(m)]
+    for n in range(6, 10):
+        (T,) = random_tournaments(n, 170 + n, 1)
+        tables = _span_tables(T, tuple(comps))
+        assert set(tables) == set(comps)
+        for comp in comps:
+            single = _span_table(T, comp)
+            assert tables[comp] == single, (T.serialize(), comp)
+            assert single == reference_span_table(T, comp), (T.serialize(), comp)
+
+
+def test_batched_span_tables_prefix_words_and_spanning_cycle():
+    (T,) = random_tournaments(7, 8, 1)
+    comps = (("P", (1,)), ("P", path_canonical((2,))), ("P", path_canonical((1, -1))),
+             ("C", cycle_canonical((1, -2))), ("C", cycle_canonical((1, -2, 3, -1))))
+    tables = _span_tables(T, comps)
+    for comp in comps:
+        assert tables[comp] == reference_span_table(T, comp), comp
+    assert set(tables[comps[-1]]) <= {(1 << 7) - 1}
+
+
+def test_counts_match_count_per_pattern():
+    specs = all_digraph_specs(6)
+    for T in random_tournaments(7, 21, 2):
+        batched = CopyCounter(T).counts(specs)
+        assert batched == [CopyCounter(T).count(spec) for spec in specs], T.serialize()
+        assert batched == [count_copies(T, spec) for spec in specs]
+
+
+def test_counts_reject_patterns_larger_than_the_host():
+    with pytest.raises(TypeTooLongError):
+        CopyCounter(TT3).counts([Digraph2Spec.parse("P(1)"), Digraph2Spec.parse("C(4)")])
+
+
+def test_pattern_invariants_fixed_at_construction():
+    d = Digraph2Spec.parse("P(1);C(1,-2);P(1);V")
+    assert (d.order, d.isolated, d._repetitions) == (8, 1, 2)
+    assert d.core() == (("P", (1,)), ("P", (1,)), ("C", (1, -2)))
+    same = Digraph2Spec((("V",), ("P", (1,)), ("C", (2, -1)), ("P", (1,))))
+    assert d == same and hash(d) == hash(same)
+    assert repr(d) == f"Digraph2Spec(components={d.components!r})"
 
 
 def test_check_complement_invariance_example():

@@ -189,6 +189,16 @@ def test_rosenfeld_needs_two_vertices():
         rosenfeld_check(Scope(mode="exhaustive", order=1))
 
 
+def test_rosenfeld_registered_like_every_property():
+    assert "rosenfeld" in PROPERTY_IDS
+    scope = Scope(mode="exhaustive", order=4)
+    a, b = verify("rosenfeld", scope), rosenfeld_check(scope)
+    a.ms = b.ms = 0
+    assert a == b
+    with pytest.raises(TourCensusError):
+        verify("rosenfeld", scope, max_arc_sum=2)
+
+
 # --- type inventories --------------------------------------------------------------
 
 def test_list_types_examples():
