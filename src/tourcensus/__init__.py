@@ -48,7 +48,6 @@ from .errors import (
     ParityViolationError,
     ParseError,
     ScopeTooLargeError,
-    TooManyVerticesError,
     TooShortError,
     TourCensusError,
     TypeTooLongError,
@@ -97,6 +96,7 @@ from .verifier import (
     EXHAUSTIVE_MAX_ORDER,
     PROPERTY_IDS,
     RANDOM_MAX_ORDER,
+    RANDOM_MAX_SAMPLES,
     Scope,
     VerifyReport,
     list_types,
@@ -137,10 +137,10 @@ __all__ = [
     # verification
     "Scope", "VerifyReport", "verify", "rosenfeld_check", "list_types",
     "PROPERTY_IDS", "EXHAUSTIVE_MAX_ORDER", "EXHAUSTIVE_HARD_MAX",
-    "RANDOM_MAX_ORDER",
+    "RANDOM_MAX_ORDER", "RANDOM_MAX_SAMPLES",
     # errors
     "TourCensusError", "EmptyTypeError", "IllFormedError", "TooShortError",
     "TypeTooLongError", "BadSubsetError", "ScopeTooLargeError",
-    "TooManyVerticesError", "UnknownPropertyError", "ParseError",
+    "UnknownPropertyError", "ParseError",
     "ParityViolationError", "DivisibilityViolationError",
 ]

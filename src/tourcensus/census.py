@@ -11,9 +11,20 @@ cycle has exactly two readings starting there, one per direction, so each
 cycle class tally is halved.  Every Hamiltonian path closes into exactly one
 Hamiltonian cycle, through the arc between its ends, so cutting each closed
 reading at each of its n arcs yields every Hamiltonian path sequence exactly
-once, and no open walk from all n starts is needed.  The brute-force oracle
-classifies raw permutations and is kept deliberately naive so the two engines
-can check each other.
+once, and no open walk from all n starts is needed.
+
+Only the first step and the closing arc of that walk touch vertex 0, so one
+walk counts every tournament that differs from T only in vertex 0's arcs.
+Each count is then a packed int with one lane per tournament (``_Lanes``):
+lane x is T with its serial bits 0..n-2, vertex 0's arcs, flipped by x, and
+is ``n!.bit_length()`` bits wide, since a lane counts at most n! vertex
+sequences.  The first step and the closing test are masked per vertex by
+the lanes in which that arc has the wanted sign; every step between runs on
+the shared arcs, unchanged.  A single tournament is the one-lane case: its
+masks are just its own arcs at the start, so its counts are plain ints.
+
+The brute-force oracle classifies raw permutations and is kept deliberately
+naive so the two engines can check each other.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from math import factorial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadSubsetError,
@@ -241,9 +253,76 @@ def _trie(length: int | None, words: tuple[tuple[int, int], ...] | None, closed:
     return node_of(items, 0)
 
 
+@lru_cache(maxsize=1 << 12)
+def _arc_lanes(n: int, count: int, out_mask: int, in_mask: int) -> tuple:
+    """Layout of ``count`` lanes at order n, and the lanes of the arcs at a
+    start vertex with these out- and in-masks in lane 0: the lane width, the
+    packed 1 of every lane, then per sign the first step, as (state key
+    offset, packed 1s) of each vertex it reaches in some lane (seed), and
+    per sign and vertex the full lanes in which the closing arc has that
+    sign (close)."""
+    width = factorial(n).bit_length()
+    ones = sum(1 << width * i for i in range(count))
+    full = (1 << width) - 1
+    flips = [sum(1 << width * i for i in range(count) if v and i >> (v - 1) & 1)
+             for v in range(n)]  # lane i flips vertex 0's arc to v where bit v-1 of i is set
+    fwd, back = (tuple((ones if mask >> v & 1 else 0) ^ flips[v] for v in range(n))
+                 for mask in (out_mask, in_mask))
+    seed = tuple(tuple(((1 << (v + 4)) + v, c) for v, c in enumerate(lanes) if c)
+                 for lanes in (back, fwd))
+    return width, ones, seed, (tuple(f * full for f in fwd), tuple(b * full for b in back))
+
+
+class _Lanes:
+    """Tournaments that differ only in the arcs at the start vertex of a
+    closed walk, one lane each of every packed count of the walk.
+
+    Lane i is ``T`` with vertex 0's arcs, serial bits 0..n-2, flipped by i:
+    the tournament ``T.bits ^ i``; more than one lane needs start 0.  It is
+    bits [i*width, (i+1)*width) of a count.  ``seed`` and ``close`` hold, per
+    sign, the lanes of the first step and of the closing arc.
+    """
+
+    __slots__ = ("T", "count", "width", "ones", "seed", "close")
+
+    def __init__(self, T: Tournament, count: int = 1, start: int = 0):
+        self.T, self.count = T, count
+        # the arcs start -> v and v -> start; the order-0 tournament has none
+        masks = (T.out_masks[start], T.in_masks[start]) if T.n else (0, 0)
+        self.width, self.ones, self.seed, self.close = _arc_lanes(T.n, count, *masks)
+
+    @classmethod
+    def runs(cls, n: int) -> Iterator[_Lanes]:
+        """Every tournament of order n in serial order, in runs of 2^(n-1)
+        lanes that share every arc off vertex 0."""
+        shift = n - 1
+        for high in range(1 << (n * (n - 1) // 2 - shift)):
+            yield cls(Tournament(n, high << shift), 1 << shift)
+
+    def tournament(self, i: int) -> Tournament:
+        return Tournament(self.T.n, self.T.bits ^ i) if i else self.T
+
+    def unpack(self, value: int) -> list[int]:
+        full = (1 << self.width) - 1
+        return [value >> self.width * i & full for i in range(self.count)]
+
+    def map(self, fn: Callable[[Tournament], dict]) -> dict:
+        """``fn`` of every lane's tournament, a dict of counts, packed per key."""
+        if self.count == 1:
+            return fn(self.T)
+        out: dict = {}
+        for i in range(self.count):
+            for k, c in fn(self.tournament(i)).items():
+                out[k] = out.get(k, 0) + (c << self.width * i)
+        return out
+
+
+_OPEN = ((-1,) * 16, (-1,) * 16)  # the closing lanes of an open walk: every end counts
+
+
 def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
              words: Iterable[tuple[int, int]] | None = None, closed: bool = False,
-             by_mask: bool = False) -> dict:
+             by_mask: bool = False, lanes: _Lanes | None = None) -> dict:
     """The subset DP behind every count: vertex sequences from ``starts``
     whose arc signs spell a word (bit i set when arc i runs forward).
 
@@ -251,7 +330,9 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
     ``None`` means every word of ``length`` arcs.  The set is walked as one
     trie, so words that share a prefix share its DP steps, and a word's tally
     is read at the node where it ends.  With ``closed`` each start runs alone
-    and a word's last arc is the closing test back to it rather than a step.
+    and a word's last arc is the closing test back to it rather than a step;
+    the first step and that test take their lanes from ``lanes`` (a closed
+    walk from vertex 0 only), by default the one lane of T at each start.
     Returns the tally per word, as given or packed with ``None``; with
     ``by_mask`` a dict per word from used-vertex mask to tally.  Zero tallies
     are left out.
@@ -263,24 +344,31 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
     # depth-first over the trie, carrying the signs walked so far; a node's
     # states are dropped once its children exist, so a single word holds two
     # levels, not the whole path
-    if closed:  # a forward closing arc into s leaves from in_masks[s]
-        stack = [(root, 0, 0, {((1 << s) << 4) | s: 1}, (out_masks[s], in_masks[s]))
-                 for s in starts]
+    if closed:  # the first step is seeded with its lanes; no closed word ends at the root
+        stack = []
+        for s in starts:
+            ln = _Lanes(T, start=s) if lanes is None else lanes
+            base = (1 << s) << 4
+            for bit, child in root[0]:
+                if ln.seed[bit]:
+                    states = {base + step: c for step, c in ln.seed[bit]}
+                    stack.append((child, 1, bit, states, ln.close))
     else:
-        stack = [(root, 0, 0, {((1 << v) << 4) | v: 1 for v in starts}, (-1, -1))]
+        stack = [(root, 0, 0, {((1 << v) << 4) | v: 1 for v in starts}, _OPEN)]
     while stack:
-        (children, ends), depth, signs, states, keep = stack.pop()
+        (children, ends), depth, signs, states, close = stack.pop()
         for bit, child in children:
             nxt = _advance(states, step_masks[bit])
             if nxt:
-                stack.append((child, depth + 1, signs | bit << depth, nxt, keep))
+                stack.append((child, depth + 1, signs | bit << depth, nxt, close))
         for bit, word in ends:
             if word is None:
                 word = signs | bit << depth
-            last_ok = keep[bit]
             tally = counts.setdefault(word, {}) if by_mask else counts
+            ok = close[bit]
             for key, c in states.items():
-                if last_ok >> (key & 15) & 1:
+                c &= ok[key & 15]
+                if c:
                     k = key >> 4 if by_mask else word
                     tally[k] = tally.get(k, 0) + c
             if by_mask and not tally:
@@ -297,27 +385,32 @@ def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
     return sum(_word_dp(T, range(T.n), words=((arc_sum(a), word_int(a)),)).values())
 
 
-def enumeration_word_counts(T: Tournament, m: int) -> dict[int, int]:
+def enumeration_word_counts(T: Tournament, m: int, lanes: _Lanes | None = None) -> dict[int, int]:
     """Enumeration counts for every sign word of length m-1 in one sweep.
 
     Returns a dict from packed word to count; absent words have count 0.
+    With ``lanes`` (over T) every count is packed, one lane per tournament.
     """
     if not 2 <= m <= T.n:
         raise TypeTooLongError(f"word sweep needs 2 <= m <= {T.n}, got {m}")
     if m == T.n:
-        return _spanning_census(T)[0]
-    return _word_dp(T, range(T.n), m - 1)
+        return _spanning_census(T, lanes)[0]
+    if lanes is None:
+        return _word_dp(T, range(T.n), m - 1)
+    return lanes.map(lambda L: _word_dp(L, range(L.n), m - 1))
 
 
-def _halved(readings: int, tup: SignedTuple) -> int:
-    if readings % 2:
-        raise ParityViolationError(f"odd reading count {readings} for {tup}")
-    return readings // 2
+def _halved(readings: int, tup: SignedTuple, lanes: _Lanes | None = None) -> int:
+    """Half of every lane of ``readings``, each checked even first."""
+    if readings & (1 if lanes is None else lanes.ones):
+        odd = readings if lanes is None else next(r for r in lanes.unpack(readings) if r & 1)
+        raise ParityViolationError(f"odd reading count {odd} for {tup}")
+    return readings >> 1
 
 
-def _per_path(e: int, alpha: SignedTuple) -> int:
+def _per_path(e: int, alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
     """Paths behind ``e`` enumerations: symmetric types read each from both ends."""
-    return _halved(e, alpha) if is_symmetric(alpha) else e
+    return _halved(e, alpha, lanes) if is_symmetric(alpha) else e
 
 
 def count_paths(T: Tournament, alpha: Iterable[int]) -> int:
@@ -360,31 +453,57 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
     return _per_cycle(readings, canon)
 
 
-def _spanning_census(T: Tournament) -> tuple[dict[int, int], dict[SignedTuple, int]]:
-    """Hamiltonian path word tallies and every Hamiltonian cycle type count,
-    zeros included, from one closed walk from vertex 0.
-
-    Each such cycle has exactly two readings from vertex 0, one per direction,
-    so the closed words are bucketed by class and halved.  Each Hamiltonian
-    path sequence closes, through the arc between its ends, into exactly one
-    of these readings rotated, so cutting a closed word ``w`` at each of its
-    n arcs gives n path words, the n-1 arcs read from the cut.  Below order 3
-    there are no cycles to cut, and the path words come from the open walk.
-    """
-    n = T.n
-    if n < 3:
-        return _word_dp(T, range(n), n - 1), {}
+def _cut(closed: dict[int, int], n: int) -> dict[int, int]:
+    """Path word tallies from closed n-arc readings: each reading ``w`` cut at
+    each of its n arcs gives n path words, the n-1 arcs read from the cut."""
     low = (1 << (n - 1)) - 1
     paths: dict[int, int] = {}
-    readings = dict.fromkeys(cycle_type_classes(n), 0)
-    classes = _cycle_word_classes(n)
-    for w, c in _word_dp(T, (0,), n, closed=True).items():
-        readings[classes[w]] += c
+    for w, c in closed.items():
         ww = w | w << n
         for j in range(n):
             p = ww >> j & low
             paths[p] = paths.get(p, 0) + c
-    return paths, {cls: _halved(r, cls) for cls, r in readings.items()}
+    return paths
+
+
+def _spanning_census(T: Tournament, lanes: _Lanes | None = None
+                     ) -> tuple[dict[int, int], dict[SignedTuple, int]]:
+    """Hamiltonian path word tallies and every Hamiltonian cycle type count,
+    zeros included, from one closed walk from vertex 0; packed per lane with
+    ``lanes`` (over T).
+
+    Each such cycle has exactly two readings from vertex 0, one per direction,
+    so the closed words are bucketed by class and halved.  Each Hamiltonian
+    path sequence closes, through the arc between its ends, into exactly one
+    of these readings rotated, so cutting the closed words gives every path
+    word.  Below order 3 there are no cycles to cut, and the path words come
+    from the open walk (one lane only).
+    """
+    n = T.n
+    if n < 3:
+        return _word_dp(T, range(n), n - 1), {}
+    closed = _word_dp(T, (0,), n, closed=True, lanes=lanes)
+    readings = dict.fromkeys(cycle_type_classes(n), 0)
+    classes = _cycle_word_classes(n)
+    for w, c in closed.items():
+        readings[classes[w]] += c
+    return _cut(closed, n), {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
+
+
+def _spanning_path_counts(T: Tournament, paths: Sequence[int],
+                          lanes: _Lanes | None = None) -> dict[int, int]:
+    """Enumeration tallies of the given Hamiltonian path words alone (order
+    2 and up), from the closed walk from vertex 0 over just the readings that
+    cut into them: the rotations of each path word closed by an arc of either
+    sign."""
+    n = T.n
+    full = (1 << n) - 1
+    rotations = {(w << j | w >> (n - j)) & full
+                 for p in paths for w in (p, p | 1 << (n - 1)) for j in range(n)}
+    closed = _word_dp(T, (0,), words=tuple((n, w) for w in sorted(rotations)),
+                      closed=True, lanes=lanes)
+    cut = _cut({w: c for (_, w), c in closed.items()}, n)
+    return {p: cut.get(p, 0) for p in paths}
 
 
 # ---------------------------------------------------------------------------

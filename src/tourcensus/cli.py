@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--tournament", metavar="STR", help="inline serialization, e.g. 3:111")
     src.add_argument("--input", metavar="FILE", help="file of serializations, one per line")
     src.add_argument("--random", action="store_true", help="draw one seeded tournament")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--seed", type=int, metavar="S", help="with --random (default 0)")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", help="sweep a counting property over a tournament scope")
@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", action="store_true")
     p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--samples", type=int, default=1, metavar="K")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--samples", type=int, metavar="K", help="with --random (default 1)")
+    p.add_argument("--seed", type=int, metavar="S", help="with --random (default 0)")
     p.add_argument("--allow-large", action="store_true",
                    help="raise the exhaustive cap from 6 to 7")
     p.add_argument("--max-arc-sum", type=int, default=None, metavar="M",
@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--random", action="store_true", help="seeded independent draws")
     kind.add_argument("--transitive", action="store_true")
     p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--count", type=int, default=1, metavar="K")
+    p.add_argument("--seed", type=int, metavar="S", help="with --random (default 0)")
+    p.add_argument("--count", type=int, metavar="K", help="with --random (default 1)")
     p.set_defaults(handler=_cmd_gen)
 
     return parser
@@ -91,12 +91,22 @@ def _census_doc(T: Tournament) -> dict:
     return doc
 
 
+def _random_only(args, **defaults) -> None:
+    """Reject the given flags unless ``--random`` is set; else fill their defaults."""
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif not args.random:
+            raise TourCensusError(f"--{name} only applies with --random")
+
+
 def _require_order(T: Tournament, order: int, where: str) -> None:
     if T.n != order:
         raise TourCensusError(f"{where} has order {T.n}, --order says {order}")
 
 
 def _cmd_census(args) -> tuple[int, dict]:
+    _random_only(args, seed=0)
     if args.tournament is not None:
         T = Tournament.parse(args.tournament)
         _require_order(T, args.order, "the given tournament")
@@ -114,11 +124,11 @@ def _cmd_census(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    mode = "exhaustive" if args.exhaustive else "random"
+    _random_only(args, samples=1, seed=0)
+    mode = "random" if args.random else "exhaustive"
     scope = Scope(mode=mode, order=args.order,
-                  samples=args.samples if mode == "random" else 0,
-                  seed=args.seed if mode == "random" else 0,
-                  allow_large=args.allow_large)
+                  samples=args.samples if args.random else 0,
+                  seed=args.seed, allow_large=args.allow_large)
     report = verify(args.property, scope, max_arc_sum=args.max_arc_sum)
     return (0 if report.passed else 1), {"schema": 1, **report.to_json_dict()}
 
@@ -138,6 +148,7 @@ def _cmd_hcount(args) -> tuple[int, dict]:
 
 
 def _cmd_gen(args) -> tuple[int, dict]:
+    _random_only(args, seed=0, count=1)
     if args.all:
         ts = all_tournaments(args.order)
     elif args.transitive:

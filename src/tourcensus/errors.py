@@ -29,10 +29,6 @@ class ScopeTooLargeError(TourCensusError, ValueError):
     """A sweep or table would exceed the supported size."""
 
 
-class TooManyVerticesError(TourCensusError, ValueError):
-    """A pattern digraph has more vertices than the host tournament."""
-
-
 class UnknownPropertyError(TourCensusError, ValueError):
     """Verification property id does not exist."""
 

@@ -13,14 +13,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .census import (
     ORACLE_MAX_ORDER,
+    _Lanes,
     _per_path,
     _spanning_census,
+    _spanning_path_counts,
     count_cycles,
-    count_enumerations,
     count_paths,
     cycle_type_classes,
     enumeration_word_counts,
@@ -60,6 +62,7 @@ from .type_algebra import (
 EXHAUSTIVE_MAX_ORDER = 6
 EXHAUSTIVE_HARD_MAX = 7
 RANDOM_MAX_ORDER = 12
+RANDOM_MAX_SAMPLES = 1 << 16
 _VIOLATION_CAP = 10
 _SPEC_STREAM_SALT = 0x6A09E667F3BCC909  # decorrelates pattern draws from tournament draws
 
@@ -67,6 +70,7 @@ __all__ = [
     "EXHAUSTIVE_MAX_ORDER",
     "EXHAUSTIVE_HARD_MAX",
     "RANDOM_MAX_ORDER",
+    "RANDOM_MAX_SAMPLES",
     "PROPERTY_IDS",
     "Scope",
     "VerifyReport",
@@ -101,6 +105,10 @@ class Scope:
                 )
             if self.samples < 1:
                 raise ValueError("random scope needs samples >= 1")
+            if self.samples > RANDOM_MAX_SAMPLES:
+                raise ScopeTooLargeError(
+                    f"random scope capped at {RANDOM_MAX_SAMPLES} samples, got {self.samples}"
+                )
 
     @property
     def is_random(self) -> bool:
@@ -181,9 +189,51 @@ def _vio(scope: Scope, index: int, **fields) -> dict:
     return fields
 
 
-def _f_from_words(words: dict[int, int], alpha: SignedTuple) -> int:
+def _lane_runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
+    """The scope's tournaments as lanes, each batch with its first index.
+
+    From order 3 an exhaustive scope comes in runs of 2^(n-1) consecutive
+    tournaments, which share every arc off vertex 0 and so one closed walk
+    from it; anything else is one lane per tournament.
+    """
+    if scope.is_random or scope.order < 3:
+        for index, T in scope.tournaments():
+            yield index, _Lanes(T)
+    else:
+        for lanes in _Lanes.runs(scope.order):
+            yield lanes.T.bits, lanes  # a run starts at the serial with vertex 0's bits clear
+
+
+_Comparison = tuple[SignedTuple | None, int, int]  # (type or None, packed lhs, packed rhs)
+
+
+def _lane_sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]]):
+    """Run ``compare`` on every batch of the scope and tally its comparisons
+    lane by lane.  Lanes are unpacked only where the packed sides differ, and
+    a batch's violations are reported in lane order, so the list matches a
+    loop over single tournaments."""
+    tally = _Tally()
+    for index, lanes in _lane_runs(scope):
+        found: list[tuple[int, dict]] = []
+        for tup, lhs, rhs in compare(lanes):
+            tally.checked += lanes.count
+            if lhs == rhs:
+                continue
+            fields = {} if tup is None else {"type": format_type(tup)}
+            for i, (a, b) in enumerate(zip(lanes.unpack(lhs), lanes.unpack(rhs))):
+                if a != b:
+                    serial = lanes.tournament(i).serialize()
+                    found.append((i, _vio(scope, index + i, tournament=serial,
+                                          **fields, lhs=a, rhs=b)))
+        found.sort(key=itemgetter(0))
+        for _, record in found:
+            tally.add(record)
+    return tally.checked, tally.violations, None
+
+
+def _f_from_words(words: dict[int, int], alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
     """Path count from a precomputed word table; halves symmetric types."""
-    return _per_path(words.get(word_int(alpha), 0), alpha)
+    return _per_path(words.get(word_int(alpha), 0), alpha, lanes)
 
 
 def _need_oracle(scope: Scope) -> None:
@@ -221,43 +271,37 @@ def _cycle_sums(order: int, max_arc_sum: int | None) -> tuple[int, ...]:
 def _check_path_identity(scope: Scope, max_arc_sum: int | None):
     """f(alpha) = f(-alpha), spanning by default, all shorter sums on request."""
     sums = _path_sums(scope.order, max_arc_sum)
-    tally = _Tally()
-    for index, T in scope.tournaments():
+
+    def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         for m in sums:
-            words = enumeration_word_counts(T, m + 1)
+            words = enumeration_word_counts(lanes.T, m + 1, lanes)
             for alpha in standard_tuples(m, "path"):
                 if alpha[0] < 0:
                     continue  # (alpha, -alpha) pairs checked once
-                lhs = _f_from_words(words, alpha)
-                rhs = _f_from_words(words, negate(alpha))
-                tally.checked += 1
-                if lhs != rhs:
-                    tally.add(_vio(scope, index, tournament=T.serialize(),
-                                   type=format_type(alpha), lhs=lhs, rhs=rhs))
-    return tally.checked, tally.violations, None
+                yield (alpha, _f_from_words(words, alpha, lanes),
+                       _f_from_words(words, negate(alpha), lanes))
+
+    return _lane_sweep(scope, compare)
 
 
 def _check_cycle_identity(scope: Scope, max_arc_sum: int | None):
     """g(beta) = g(-beta), spanning by default."""
     sums = _cycle_sums(scope.order, max_arc_sum)
-    tally = _Tally()
-    for index, T in scope.tournaments():
+
+    def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         for m in sums:
             # spanning counts come from one vertex-0 sweep, shorter sums per type
             if m == scope.order:
-                g = _spanning_census(T)[1]
+                g = _spanning_census(lanes.T, lanes)[1]
             else:
-                g = {c: count_cycles(T, c) for c in cycle_type_classes(m)}
+                g = lanes.map(lambda T: {c: count_cycles(T, c) for c in cycle_type_classes(m)})
             for beta in standard_tuples(m, "cycle"):
                 neg = negate(beta)
                 if beta > neg:
                     continue
-                lhs, rhs = g[cycle_canonical(beta)], g[cycle_canonical(neg)]
-                tally.checked += 1
-                if lhs != rhs:
-                    tally.add(_vio(scope, index, tournament=T.serialize(),
-                                   type=format_type(beta), lhs=lhs, rhs=rhs))
-    return tally.checked, tally.violations, None
+                yield beta, g[cycle_canonical(beta)], g[cycle_canonical(neg)]
+
+    return _lane_sweep(scope, compare)
 
 
 def _check_enumeration_partition(scope: Scope, _):
@@ -265,14 +309,12 @@ def _check_enumeration_partition(scope: Scope, _):
     n = scope.order
     if n < 2:
         return 0, [], None
-    expect = factorial(n)
-    tally = _Tally()
-    for index, T in scope.tournaments():
-        total = sum(enumeration_word_counts(T, n).values())
-        tally.checked += 1
-        if total != expect:
-            tally.add(_vio(scope, index, tournament=T.serialize(), lhs=total, rhs=expect))
-    return tally.checked, tally.violations, None
+
+    def compare(lanes: _Lanes) -> Iterator[_Comparison]:
+        total = sum(enumeration_word_counts(lanes.T, n, lanes).values())
+        yield None, total, factorial(n) * lanes.ones
+
+    return _lane_sweep(scope, compare)
 
 
 def _check_pe_ratio(scope: Scope, _):
@@ -446,26 +488,21 @@ def _check_complement_bridge(scope: Scope, _):
     n = scope.order
     if n < 2:
         return 0, [], None
-    tally = _Tally()
-    for index, T in scope.tournaments():
-        # each side is swept on its own, so neither count is derived from the other
-        words, cycles = _spanning_census(T)
-        words_rev, cycles_rev = _spanning_census(T.complement())
+
+    def compare(lanes: _Lanes) -> Iterator[_Comparison]:
+        # each side is swept on its own, so neither count is derived from the
+        # other; lane i of the reversed lanes is the reversal of lane i
+        rev = _Lanes(lanes.T.complement(), lanes.count)
+        words, cycles = _spanning_census(lanes.T, lanes)
+        words_rev, cycles_rev = _spanning_census(rev.T, rev)
         for alpha in standard_tuples(n - 1, "path"):
-            lhs = _f_from_words(words, alpha)
-            rhs = _f_from_words(words_rev, alpha)
-            tally.checked += 1
-            if lhs != rhs:
-                tally.add(_vio(scope, index, tournament=T.serialize(),
-                               type=format_type(alpha), lhs=lhs, rhs=rhs))
+            yield (alpha, _f_from_words(words, alpha, lanes),
+                   _f_from_words(words_rev, alpha, rev))
         if n >= 3:
             for beta in cycle_type_classes(n):
-                lhs, rhs = cycles[beta], cycles_rev[beta]
-                tally.checked += 1
-                if lhs != rhs:
-                    tally.add(_vio(scope, index, tournament=T.serialize(),
-                                   type=format_type(beta), lhs=lhs, rhs=rhs))
-    return tally.checked, tally.violations, None
+                yield beta, cycles[beta], cycles_rev[beta]
+
+    return _lane_sweep(scope, compare)
 
 
 def _check_szele_floor(scope: Scope, _):
@@ -477,11 +514,13 @@ def _check_szele_floor(scope: Scope, _):
     if n < 2:
         return 0, [], None
     floor = -(-factorial(n) // (1 << (n - 1)))
+    directed = (1 << (n - 1)) - 1  # the path word of n-1 forward arcs
     tally = _Tally()
     best = 0
-    for _, T in scope.tournaments():
-        best = max(best, count_enumerations(T, (n - 1,)))
-        tally.checked += 1
+    for _, lanes in _lane_runs(scope):
+        counts = _spanning_path_counts(lanes.T, (directed,), lanes)[directed]
+        best = max(best, *lanes.unpack(counts))
+        tally.checked += lanes.count
     if best < floor:
         tally.add({"lhs": best, "rhs": floor})
     return tally.checked, tally.violations, {"max": best, "floor": floor}

@@ -157,6 +157,9 @@ def test_c12_szele_floor():
         r5 = _sweep("szele-floor", Scope(mode="exhaustive", order=5))
         assert r5.details["floor"] == 8 and r5.details["max"] >= 8
         assert r5.details["floor"] == -(-factorial(5) // 16)
+        r6 = _sweep("szele-floor", Scope(mode="exhaustive", order=6))
+        assert r6.checked == 2 ** 15
+        assert r6.details == {"floor": 23, "max": 45}  # OEIS A038375
 
 
 def test_c13_transitive_baseline():

@@ -40,7 +40,7 @@ from tourcensus import (
     transitive,
     word_int,
 )
-from tourcensus.census import _advance, _word_dp
+from tourcensus.census import _Lanes, _advance, _spanning_census, _spanning_path_counts, _word_dp
 
 TT3 = Tournament.parse("3:111")
 C3 = Tournament.parse("3:101")
@@ -292,6 +292,50 @@ def test_cycle_census_from_vertex_zero_matches_oracle():
         ours, oracle = census(T), oracle_census(T)
         assert ours.cycle_counts == oracle.cycle_counts, T.serialize()
         assert ours.path_counts == oracle.path_counts, T.serialize()
+
+
+def _members(lanes):
+    """The tournaments of a run's lanes, built from their serials."""
+    return [Tournament(lanes.T.n, lanes.T.bits | x) for x in range(lanes.count)]
+
+
+def test_lane_walk_matches_single_tournaments():
+    # one closed walk counts a whole run of tournaments that differ only in
+    # vertex 0's arcs; lane x must hold exactly the counts of tournament x,
+    # against the open walk (path words), the oracle (orders 3-5) or the
+    # per-type cycle counts (orders 6-7, 32 and 64 lanes)
+    runs = []
+    for n in (3, 4, 5):
+        batch = [(lanes, _members(lanes)) for lanes in _Lanes.runs(n)]
+        assert [T for _, members in batch for T in members] == list(all_tournaments(n))
+        runs += batch
+    for n, high in ((6, 0), (6, 677), (7, 21_845)):
+        lanes = _Lanes(Tournament(n, high << (n - 1)), 1 << (n - 1))
+        runs.append((lanes, _members(lanes)))
+    for lanes, members in runs:
+        n = lanes.T.n
+        directed = (1 << (n - 1)) - 1
+        words, cycles = _spanning_census(lanes.T, lanes)
+        paths = _spanning_path_counts(lanes.T, (directed,), lanes)[directed]
+        assert lanes.count == len(members) == 1 << (n - 1)
+        assert lanes.unpack(paths) == [count_enumerations(T, (n - 1,)) for T in members]
+        lane_words = [{} for _ in members]
+        for w, c in words.items():
+            for x, v in enumerate(lanes.unpack(c)):
+                if v:
+                    lane_words[x][w] = v
+        lane_cycles = [{cls: lanes.unpack(c)[x] for cls, c in cycles.items()}
+                       for x in range(len(members))]
+        for x, T in enumerate(members):
+            assert lanes.tournament(x) == T
+            assert lane_words[x] == _word_dp(T, range(n), n - 1), T.serialize()
+            if n <= 5:
+                expect = oracle_census(T).cycle_counts
+            else:
+                expect = {cls: count_cycles(T, cls) for cls in cycle_type_classes(n)}
+            assert lane_cycles[x] == expect, T.serialize()
+            # the one-lane walk is the plain census of the same tournament
+            assert _spanning_census(T) == (lane_words[x], expect), T.serialize()
 
 
 def test_census_report_shape():

@@ -282,3 +282,37 @@ def test_python_dash_m_runs_the_cli():
     doc = json.loads(proc.stdout)
     assert proc.stdout.count("\n") == 1
     assert doc["n"] == 5 and doc["seed"] == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("gen", "--all", "--order", "3", "--count", "5"), "--count"),
+    (("gen", "--all", "--order", "3", "--seed", "9"), "--seed"),
+    (("gen", "--transitive", "--order", "3", "--count", "5"), "--count"),
+    (("gen", "--transitive", "--order", "3", "--seed", "9"), "--seed"),
+    (("verify", "--property", "t-one", "--exhaustive", "--order", "3",
+      "--samples", "40"), "--samples"),
+    (("verify", "--property", "t-one", "--exhaustive", "--order", "3",
+      "--seed", "3"), "--seed"),
+    (("census", "--order", "3", "--tournament", "3:111", "--seed", "4"), "--seed"),
+    (("census", "--order", "3", "--input", "ts.txt", "--seed", "4"), "--seed"),
+])
+def test_random_only_flags_rejected_elsewhere(capsys, tmp_path, monkeypatch, argv, flag):
+    # each of these was accepted and then ignored; now it exits 2
+    (tmp_path / "ts.txt").write_text("3:111\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert flag in err and "--random" in err
+    # without the flag the same call runs
+    i = argv.index(flag)
+    assert run(capsys, *argv[:i], *argv[i + 2:])[0] == 0
+
+
+def test_verify_samples_cap_draws_nothing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew tournaments past the cap")
+
+    monkeypatch.setattr(verify_mod, "random_tournaments", refuse)
+    code, out, err = run(capsys, "verify", "--property", "path-identity", "--random",
+                         "--order", "4", "--samples", str(tourcensus.RANDOM_MAX_SAMPLES + 1))
+    assert code == 2 and not out and "capped" in err

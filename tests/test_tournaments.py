@@ -1,5 +1,8 @@
 """Unit tests for the bit-packed tournament representation."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,3 +176,17 @@ def test_max_order_cap():
         Tournament(17, 0)
     with pytest.raises(ValueError):
         Tournament(3, 8)  # only 3 relation bits exist at order 3
+
+
+def test_readme_serialization_example():
+    # the README's order-4 example states its pair order and arcs; both must
+    # be what parse() reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split())
+    m = re.search(r"`(4:[01]{6})` reads the pairs `([^`]*)` and has the arcs `([^`]*)`", text)
+    assert m, "README lost its order-4 serialization example"
+    T = Tournament.parse(m.group(1))
+    pairs = [tuple(map(int, p)) for p in re.findall(r"\((\d),(\d)\)", m.group(2))]
+    assert [pair_index(i, j, 4) for i, j in pairs] == list(range(6))
+    arcs = {tuple(map(int, a.split("->"))) for a in m.group(3).split(", ")}
+    assert arcs == set(T.arcs())

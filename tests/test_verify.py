@@ -5,6 +5,7 @@ import pytest
 import tourcensus.verifier as verify_mod
 from tourcensus import (
     PROPERTY_IDS,
+    RANDOM_MAX_SAMPLES,
     Scope,
     ScopeTooLargeError,
     TooShortError,
@@ -15,6 +16,8 @@ from tourcensus import (
     rosenfeld_check,
     verify,
 )
+from tourcensus.census import _Lanes
+from tourcensus.tournaments import Tournament
 
 
 # --- scopes ---------------------------------------------------------------------
@@ -34,6 +37,9 @@ def test_scope_random_caps():
         Scope(mode="random", order=13, samples=3)
     with pytest.raises(ValueError):
         Scope(mode="random", order=5, samples=0)
+    Scope(mode="random", order=3, samples=RANDOM_MAX_SAMPLES)
+    with pytest.raises(ScopeTooLargeError, match="samples"):
+        Scope(mode="random", order=3, samples=RANDOM_MAX_SAMPLES + 1)
     with pytest.raises(ValueError):
         Scope(mode="unknown", order=4)
 
@@ -81,7 +87,8 @@ def test_report_json_shape():
 
 
 def test_vacuous_report_flagged():
-    for pid, order in (("path-identity", 1), ("szele-floor", 0), ("complement-bridge", 1)):
+    for pid, order in (("path-identity", 1), ("szele-floor", 0), ("complement-bridge", 1),
+                       ("path-identity", 0), ("cycle-identity", 0)):
         report = verify(pid, Scope(mode="exhaustive", order=order))
         assert report.checked == 0 and report.passed and report.vacuous
         assert report.to_json_dict()["vacuous"] is True
@@ -161,6 +168,70 @@ def test_violations_capped_and_tagged(monkeypatch):
     report = verify("always-fails", Scope(mode="random", order=4, samples=3, seed=1))
     assert [v["sample"] for v in report.violations] == [0, 1, 2]
     assert all("tournament" in v for v in report.violations)
+
+
+# --- batched sweeps report like single tournaments --------------------------------
+
+# three runs of 32 lanes of the exhaustive order-6 scope (serial bits >> 5),
+# and 12 of their tournaments to corrupt, several sharing a run, so that the
+# cap of 10 cuts inside a run
+_HIGHS = (0, 3, 700)
+_FAULTY = (1, 6, 7, 16, 31, 3 << 5, 3 << 5 | 1, 3 << 5 | 20,
+           700 << 5 | 2, 700 << 5 | 3, 700 << 5 | 4, 700 << 5 | 30)
+
+
+def _corrupt(name, bump):
+    """The count source ``name`` of the verifier, with ``bump(result, i, lanes)``
+    applied to every lane i that holds a tournament in _FAULTY."""
+    real = getattr(verify_mod, name)
+
+    def faulty(T, *args):
+        result = real(T, *args)
+        lanes = args[-1]
+        for i in range(lanes.count):
+            if lanes.tournament(i).bits in _FAULTY:
+                bump(result, i, lanes)
+        return result
+    return faulty
+
+
+def _bump_words(words, i, lanes):
+    directed = (1 << (lanes.T.n - 1)) - 1  # type (n-1) only: one violation per lane
+    words[directed] = words.get(directed, 0) + (2 << lanes.width * i)
+
+
+def _bump_census(result, i, lanes):
+    words, cycles = result
+    _bump_words(words, i, lanes)
+    for k, cls in enumerate(cycles):
+        cycles[cls] += (k + 1) << lanes.width * i
+
+
+@pytest.mark.parametrize("pid, source, bump", [
+    ("path-identity", "enumeration_word_counts", _bump_words),
+    ("enumeration-partition", "enumeration_word_counts", _bump_words),
+    ("cycle-identity", "_spanning_census", _bump_census),
+    ("complement-bridge", "_spanning_census", _bump_census),
+])
+def test_batched_violations_match_single_tournaments(monkeypatch, pid, source, bump):
+    scope = Scope(mode="exhaustive", order=6)
+    monkeypatch.setattr(verify_mod, source, _corrupt(source, bump))
+    runs = verify_mod._lane_runs
+    monkeypatch.setattr(verify_mod, "_lane_runs", lambda scope: (
+        (i, lanes) for i, lanes in runs(scope) if i >> 5 in _HIGHS))
+    batched = verify(pid, scope)
+    # the same checker fed one tournament per batch, in scope order
+    monkeypatch.setattr(verify_mod, "_lane_runs", lambda scope: (
+        (i, _Lanes(T)) for i, T in scope.tournaments() if i >> 5 in _HIGHS))
+    single = verify(pid, scope)
+    assert batched.checked == single.checked and single.checked % 96 == 0
+    assert len(batched.violations) == 10  # capped
+    assert batched.violations == single.violations
+    serials = [v["tournament"] for v in batched.violations]
+    bits = [Tournament.parse(t).bits for t in serials]
+    assert bits == sorted(bits) and set(bits) <= set(_FAULTY)
+    if pid in ("path-identity", "enumeration-partition"):
+        assert bits == sorted(_FAULTY)[:10]
 
 
 # --- the alternating special case -------------------------------------------------
