@@ -1,5 +1,8 @@
 """Unit tests for property sweeps and their reports."""
 
+import dataclasses
+import json
+
 import pytest
 
 import tourcensus.verifier as verify_mod
@@ -16,8 +19,17 @@ from tourcensus import (
     rosenfeld_check,
     verify,
 )
-from tourcensus.census import _Lanes
+from tourcensus.census import _Lanes, count_paths, path_type_classes
+from tourcensus.digraphs import CopyCounter, all_digraph_specs
 from tourcensus.tournaments import Tournament
+from tourcensus.type_algebra import (
+    format_type,
+    generated_cycle_types,
+    normalize_path,
+    path_canonical,
+    standard_tuples,
+    star_one,
+)
 
 
 # --- scopes ---------------------------------------------------------------------
@@ -232,6 +244,239 @@ def test_batched_violations_match_single_tournaments(monkeypatch, pid, source, b
     assert bits == sorted(bits) and set(bits) <= set(_FAULTY)
     if pid in ("path-identity", "enumeration-partition"):
         assert bits == sorted(_FAULTY)[:10]
+
+
+# --- the small-order contract of every property ----------------------------------
+
+# checked at exhaustive orders 0..3; None: the property raises TooShortError
+_SMALL_CHECKED = {
+    "path-identity": (0, 0, 2, 16),
+    "cycle-identity": (0, 0, 0, 24),
+    "enumeration-partition": (0, 0, 2, 8),
+    "pe-ratio": (0, 0, 4, 32),
+    "class-sizes": (0, 0, 0, 20),
+    "eqsym": (0, 0, 0, 48),
+    "count-formula": (0, 0, 0, 32),
+    "t-one": (0, 0, 0, 2),
+    "h-invariance": (0, 1, 6, 80),
+    "complement-bridge": (0, 0, 4, 48),
+    "szele-floor": (0, 0, 2, 8),
+    "rosenfeld": (None, None, 2, 8),
+}
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("pid", PROPERTY_IDS)
+def test_small_order_contract(pid, order):
+    expected = _SMALL_CHECKED[pid][order]
+    scope = Scope(mode="exhaustive", order=order)
+    if expected is None:
+        with pytest.raises(TooShortError):
+            verify(pid, scope)
+        return
+    report = verify(pid, scope)
+    assert report.passed and report.checked == expected
+    assert report.vacuous == (expected == 0)
+    assert report.to_json_dict().get("vacuous", False) == (expected == 0)
+
+
+# --- violation records of the oracle and copy checkers ------------------------------
+
+# the sample indices to corrupt: 12 of them, so that the cap of 10 cuts
+_FAULTY_INDICES = (1, 2, 5, 8, 9, 13, 14, 17, 20, 21, 22, 23)
+_SCOPES = {
+    "exhaustive": Scope(mode="exhaustive", order=5),
+    "random": Scope(mode="random", order=6, samples=24, seed=5),
+}
+
+
+def _faulty_bits(scope):
+    ts = [T for _, T in scope.tournaments()]
+    return {ts[i].bits for i in _FAULTY_INDICES}
+
+
+def _expected(scope, records_of):
+    """The first ten records ``records_of(index, T)`` gives over the scope,
+    each tagged with its tournament, and with its sample on random scopes."""
+    out = []
+    for index, T in scope.tournaments():
+        for fields in records_of(index, T):
+            record = {"tournament": T.serialize(), **fields}
+            if scope.is_random:
+                record["sample"] = index
+            out.append(record)
+    return out[:10]
+
+
+def _pe_ratio_fault(monkeypatch, scope, faulty):
+    # the oracle finds one directed Hamiltonian path too many
+    directed = (scope.order - 1,)
+    real = verify_mod.oracle_census
+
+    def oracle_census(T):
+        report = real(T)
+        if T.bits in faulty:
+            report.path_counts[path_canonical(directed)] += 1
+        return report
+    monkeypatch.setattr(verify_mod, "oracle_census", oracle_census)
+
+    def records_of(index, T):
+        if T.bits not in faulty:
+            return
+        f = count_paths(T, directed)
+        for alpha in standard_tuples(scope.order - 1, "path"):
+            if path_canonical(alpha) == path_canonical(directed):
+                yield {"type": format_type(alpha), "lhs": f, "rhs": f + 1}
+    return records_of
+
+
+def _count_formula_fault(monkeypatch, scope, faulty):
+    # the oracle finds no Hamiltonian cycle of any type
+    real = verify_mod.oracle_census
+
+    def oracle_census(T):
+        report = real(T)
+        if T.bits in faulty:
+            report.cycle_counts = dict.fromkeys(report.cycle_counts, 0)
+        return report
+    monkeypatch.setattr(verify_mod, "oracle_census", oracle_census)
+
+    def records_of(index, T):
+        if T.bits not in faulty:
+            return
+        for beta in standard_tuples(scope.order, "cycle"):
+            if len(beta) % 2 == 0:
+                f = count_paths(T, normalize_path((star_one(beta, 1),) + beta[1:]))
+                if f:
+                    yield {"type": format_type(beta), "lhs": f, "rhs": 0}
+    return records_of
+
+
+class _SharedCycle(dict):
+    """Cycle sets that all hold one extra, shared cycle."""
+
+    def get(self, key, default=None):
+        return super().get(key, frozenset()) | {frozenset({(-1, -1)})}
+
+
+def _eqsym_sets_fault(monkeypatch, scope, faulty):
+    # distinct cycle types share a cycle
+    real = verify_mod.oracle_cycle_sets
+
+    def oracle_cycle_sets(T):
+        sets = real(T)
+        return _SharedCycle(sets) if T.bits in faulty else sets
+    monkeypatch.setattr(verify_mod, "oracle_cycle_sets", oracle_cycle_sets)
+
+    def records_of(index, T):
+        if T.bits not in faulty:
+            return
+        sets = real(T)
+        for alpha in standard_tuples(scope.order - 1, "path"):
+            first, second, coincide = generated_cycle_types(alpha)
+            if len(alpha) % 2 == 0 and not coincide:
+                yield {"type": format_type(alpha), "first": format_type(first),
+                       "second": format_type(second),
+                       "lhs": len(sets.get(first, ())) + 1, "rhs": len(sets.get(second, ())) + 1}
+    return records_of
+
+
+def _eqsym_types_fault(monkeypatch, scope, faulty):
+    # odd block counts claim coinciding cycle types, in every tournament
+    real = verify_mod.generated_cycle_types
+
+    def generated(alpha):
+        gen = real(alpha)
+        return gen._replace(coincide=True) if len(alpha) % 2 else gen
+    monkeypatch.setattr(verify_mod, "generated_cycle_types", generated)
+
+    def records_of(index, T):
+        for alpha in standard_tuples(scope.order - 1, "path"):
+            if len(alpha) % 2:
+                first, second, _ = real(alpha)
+                yield {"type": format_type(alpha), "first": format_type(first),
+                       "second": format_type(second), "lhs": True, "rhs": False}
+    return records_of
+
+
+def _class_sizes_fault(monkeypatch, scope, faulty):
+    # the first class of every type loses a path
+    real = verify_mod.path_classes
+
+    def path_classes(T, alpha):
+        part = real(T, alpha)
+        if T.bits in faulty and part.classes:
+            first = part.classes[0]
+            shrunk = dataclasses.replace(first, paths=frozenset(sorted(first.paths)[1:]))
+            part.classes = (shrunk,) + part.classes[1:]
+        return part
+    monkeypatch.setattr(verify_mod, "path_classes", path_classes)
+
+    def records_of(index, T):
+        if T.bits not in faulty:
+            return
+        for alpha in path_type_classes(scope.order - 1):
+            classes = real(T, alpha).classes
+            if classes:
+                size = len(classes[0].paths)
+                yield {"type": format_type(alpha),
+                       "cycle_type": format_type(classes[0].cycle_type),
+                       "lhs": size - 1, "rhs": size}
+    return records_of
+
+
+def _h_invariance_fault(monkeypatch, scope, faulty):
+    # the last pattern has one copy too many in each faulty host, which the
+    # reversed side sees when the reversal of the swept tournament is faulty
+    calls = []
+
+    class FaultyCounter(CopyCounter):
+        def counts(self, patterns):
+            out = super().counts(patterns)
+            calls.append(patterns)
+            if self.T.bits in faulty:
+                out[-1] += 1
+            return out
+    monkeypatch.setattr(verify_mod, "CopyCounter", FaultyCounter)
+
+    def records_of(index, T):
+        # the forward count of sample k is call 2k, the reversed one call 2k+1
+        forward, reverse = T.bits in faulty, T.complement().bits in faulty
+        if forward != reverse:
+            spec = calls[2 * index][-1] if scope.is_random else all_digraph_specs(scope.order)[-1]
+            c = CopyCounter(T).count(spec)
+            yield {"digraph": spec.render(), "lhs": c + forward, "rhs": c + reverse}
+    return records_of
+
+
+_FAULTS = {  # fault: (property, corruption, record fields besides tournament and sides)
+    "pe-ratio": ("pe-ratio", _pe_ratio_fault, {"type"}),
+    "count-formula": ("count-formula", _count_formula_fault, {"type"}),
+    "eqsym-sets": ("eqsym", _eqsym_sets_fault, {"type", "first", "second"}),
+    "eqsym-types": ("eqsym", _eqsym_types_fault, {"type", "first", "second"}),
+    "class-sizes": ("class-sizes", _class_sizes_fault, {"type", "cycle_type"}),
+    "h-invariance": ("h-invariance", _h_invariance_fault, {"digraph"}),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_SCOPES))
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_oracle_and_copy_violation_records(monkeypatch, fault, mode):
+    scope = _SCOPES[mode]
+    pid, make_fault, fields = _FAULTS[fault]
+    records_of = make_fault(monkeypatch, scope, _faulty_bits(scope))
+    report = verify(pid, scope)
+    assert len(report.violations) == 10  # capped
+    keys = {"tournament", "lhs", "rhs"} | fields | ({"sample"} if scope.is_random else set())
+    assert all(set(v) == keys for v in report.violations)
+    assert report.violations == _expected(scope, records_of)
+    # in scope order: serial order when exhaustive, sample order when random
+    order = [v["sample"] if scope.is_random else Tournament.parse(v["tournament"]).bits
+             for v in report.violations]
+    assert order == sorted(order)
+    if fault == "eqsym-types":
+        # the first check compares booleans and reports them as JSON booleans
+        assert '"lhs": true, "rhs": false' in json.dumps(report.violations[0])
 
 
 # --- the alternating special case -------------------------------------------------
