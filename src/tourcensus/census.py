@@ -495,8 +495,12 @@ def _spanning_path_counts(T: Tournament, paths: Sequence[int],
     """Enumeration tallies of the given Hamiltonian path words alone (order
     2 and up), from the closed walk from vertex 0 over just the readings that
     cut into them: the rotations of each path word closed by an arc of either
-    sign."""
+    sign.  A single tournament takes the open walk from every start over the
+    words themselves instead, which expands about a third of the states."""
     n = T.n
+    if lanes is None or lanes.count == 1:
+        opened = _word_dp(T, range(n), words=tuple((n - 1, p) for p in paths))
+        return {p: opened.get((n - 1, p), 0) for p in paths}
     full = (1 << n) - 1
     rotations = {(w << j | w >> (n - j)) & full
                  for p in paths for w in (p, p | 1 << (n - 1)) for j in range(n)}

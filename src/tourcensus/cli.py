@@ -5,7 +5,8 @@ tournaments), ``verify`` (property sweeps), ``hcount`` (copy counts of a
 small pattern digraph), ``gen`` (tournament serializations to feed back in).
 Everything prints a single JSON document on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 a verified property failed, 2 bad usage
-or unparseable input.  Identical invocations print identical bytes.
+or unparseable input.  Identical invocations print identical bytes, for
+every subcommand: no document carries a timing.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
                   samples=args.samples if args.random else 0,
                   seed=args.seed, allow_large=args.allow_large)
     report = verify(args.property, scope, max_arc_sum=args.max_arc_sum)
-    return (0 if report.passed else 1), {"schema": 1, **report.to_json_dict()}
+    return (0 if report.passed else 1), {"schema": 2, **report.to_json_dict()}
 
 
 def _cmd_hcount(args) -> tuple[int, dict]:

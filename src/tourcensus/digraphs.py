@@ -18,6 +18,8 @@ from .census import (
     _per_path,
     _runs_from_word,
     _word_dp,
+    cycle_type_classes,
+    path_type_classes,
     word_int,
 )
 from .errors import DivisibilityViolationError, IllFormedError, ParseError, TypeTooLongError
@@ -32,7 +34,6 @@ from .type_algebra import (
     format_type,
     parse_type,
     path_canonical,
-    standard_tuples,
 )
 
 __all__ = [
@@ -288,9 +289,9 @@ def all_digraph_specs(max_order: int) -> list[Digraph2Spec]:
     """Every pattern whose total order is at most ``max_order``."""
     comps: list[Component] = [("V",)]
     for total in range(1, max_order):
-        comps.extend(("P", t) for t in sorted({path_canonical(x) for x in standard_tuples(total, "path")}))
+        comps.extend(("P", t) for t in path_type_classes(total))
     for total in range(3, max_order + 1):
-        comps.extend(("C", t) for t in sorted({cycle_canonical(x) for x in standard_tuples(total, "cycle")}))
+        comps.extend(("C", t) for t in cycle_type_classes(total))
     comps.sort(key=_component_key)
 
     out: list[Digraph2Spec] = []

@@ -336,6 +336,7 @@ def test_lane_walk_matches_single_tournaments():
             assert lane_cycles[x] == expect, T.serialize()
             # the one-lane walk is the plain census of the same tournament
             assert _spanning_census(T) == (lane_words[x], expect), T.serialize()
+            assert _spanning_path_counts(T, (directed,)) == {directed: lanes.unpack(paths)[x]}
 
 
 def test_census_report_shape():

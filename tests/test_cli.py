@@ -1,17 +1,23 @@
 """End-to-end tests of the command line front end."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tourcensus
 import tourcensus.cli as cli_mod
 import tourcensus.verifier as verify_mod
 from tourcensus.cli import GEN_MAX_COUNT, main
+from tourcensus.verifier import PROPERTY_IDS
 
 
 def run(capsys, *argv):
@@ -86,6 +92,8 @@ def test_verify_pass_exit_zero(capsys):
     code, doc = run_json(capsys, "verify", "--property", "path-identity",
                          "--exhaustive", "--order", "4")
     assert code == 0
+    assert doc["schema"] == 2  # 1 carried the elapsed "ms"
+    assert "ms" not in doc
     assert doc["pass"] is True
     assert doc["checked"] == 256
     assert doc["scope"] == {"mode": "exhaustive", "order": 4}
@@ -261,13 +269,10 @@ def test_byte_identical_stdout(capsys):
     _, a, _ = run(capsys, *argv)
     _, b, _ = run(capsys, *argv)
     assert a == b
-    # verify output repeats too, up to the elapsed-time field
     argv = ("verify", "--property", "t-one", "--exhaustive", "--order", "6")
     _, a, _ = run(capsys, *argv)
     _, b, _ = run(capsys, *argv)
-    da, db = json.loads(a), json.loads(b)
-    da.pop("ms"), db.pop("ms")
-    assert da == db
+    assert a == b
 
 
 def test_python_dash_m_runs_the_cli():
@@ -316,3 +321,93 @@ def test_verify_samples_cap_draws_nothing(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--property", "path-identity", "--random",
                          "--order", "4", "--samples", str(tourcensus.RANDOM_MAX_SAMPLES + 1))
     assert code == 2 and not out and "capped" in err
+
+
+# --- the CLI contract under fuzzed argv -------------------------------------------
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+_INTS = st.sampled_from(["-1", "0", "1", "3", "70000", "99999999999999999999", "x", ""])
+_SMALL_ORDERS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "8", "x"])  # 8: past every exhaustive cap
+_ORDERS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "7", "13", "x"])
+_SERIALS = st.one_of(st.sampled_from(["3:111", "3:101", "4:111011", "3:1x1", "2:1", "3:11",
+                                      "0:", "1:", "5:1100011101", ":"]), _TEXT)
+_SPECS = st.one_of(st.sampled_from(["P(1,-1)", "V", "C(1,-2)", "P(2,x)", "V;P(1)", "C(1,1)",
+                                    "P(5)", "C(3)", "P(1,-1);C(1,-2);V", ";"]), _TEXT)
+_JUNK = st.sampled_from(["--bogus", "-q", "extra", "--order", "--random"])
+
+
+def _pair(flag, values):
+    return st.tuples(st.just(flag), values)
+
+
+def _switch(flag):
+    return st.tuples(st.just(flag))
+
+
+def _optional(flags):
+    """Any subset of ``flags`` (name, values), values None for a number, False for a switch."""
+    def one(name, values):
+        if values is False:
+            return _switch(name)
+        return _pair(name, _INTS if values is None else st.sampled_from(values))
+    return st.lists(st.sampled_from(flags), unique_by=itemgetter(0), max_size=len(flags)).flatmap(
+        lambda chosen: st.tuples(*(one(*f) for f in chosen)))
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(["verify", "census", "gen", "hcount"]))
+    if command == "verify":
+        parts = list(draw(st.tuples(
+            _pair("--property", st.sampled_from(PROPERTY_IDS + ("nope",))),
+            st.one_of(st.tuples(_switch("--exhaustive"), _pair("--order", _SMALL_ORDERS)),
+                      st.tuples(_switch("--random"), _pair("--order", _ORDERS)),
+                      st.tuples(_pair("--order", _ORDERS))),
+            _optional([("--samples", ["-1", "0", "1", "3", "70000", "x"]), ("--seed", None),
+                       ("--allow-large", False), ("--max-arc-sum", None)]))))
+        parts = [parts[0], *parts[1], *parts[2]]
+    elif command == "census":
+        source = draw(st.lists(st.one_of(_pair("--tournament", _SERIALS),
+                                         _pair("--input", st.sampled_from(files)),
+                                         _switch("--random")), max_size=2))
+        parts = [draw(_pair("--order", st.sampled_from(["-1", "0", "3", "4", "5", "11", "x"]))),
+                 *source, *draw(_optional([("--seed", None)]))]
+    elif command == "gen":
+        kind = draw(st.lists(st.sampled_from(["--all", "--random", "--transitive"]),
+                             unique=True, max_size=2))
+        orders = _SMALL_ORDERS if "--all" in kind else _ORDERS
+        parts = [*((k,) for k in kind), draw(_pair("--order", orders)),
+                 *draw(_optional([("--seed", None), ("--count", None)]))]
+    else:
+        parts = [draw(_pair("--tournament", _SERIALS)), draw(_pair("--digraph", _SPECS)),
+                 *draw(_optional([("--complement-check", False)]))]
+    parts = draw(st.permutations(parts))
+    argv = [command] + [token for part in parts for token in part]
+    if draw(st.booleans()) and draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "good.txt").write_text("# corpus\n3:111\n3:101\n", encoding="utf-8")
+    (root / "bad.txt").write_text("3:111\n3:1z1\n", encoding="utf-8")
+    (root / "binary.txt").write_bytes(b"\xff\xfe3:111\n")
+    return [str(root / name) for name in ("good.txt", "bad.txt", "binary.txt", "missing.txt")]
+
+
+def test_cli_contract_fuzz(input_files):
+    @settings(max_examples=150, deadline=None)
+    @given(_argv(input_files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if out.getvalue():
+            assert out.getvalue().endswith("\n") and out.getvalue().count("\n") == 1, argv
+            assert isinstance(json.loads(out.getvalue()), dict), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()
