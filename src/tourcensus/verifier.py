@@ -508,7 +508,7 @@ def _check_rosenfeld(scope: Scope, _):
     words = word_int(alpha), word_int(neg)
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
-        # the two Hamiltonian path words alone, from the vertex-0 closed walk
+        # the two Hamiltonian path words alone, one lane per tournament of the batch
         e = _spanning_path_counts(lanes.T, words, lanes)
         yield alpha, _per_path(e[words[0]], alpha, lanes), _per_path(e[words[1]], neg, lanes)
 

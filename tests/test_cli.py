@@ -358,14 +358,13 @@ def _optional(flags):
 def _argv(draw, files):
     command = draw(st.sampled_from(["verify", "census", "gen", "hcount"]))
     if command == "verify":
-        parts = list(draw(st.tuples(
-            _pair("--property", st.sampled_from(PROPERTY_IDS + ("nope",))),
-            st.one_of(st.tuples(_switch("--exhaustive"), _pair("--order", _SMALL_ORDERS)),
-                      st.tuples(_switch("--random"), _pair("--order", _ORDERS)),
-                      st.tuples(_pair("--order", _ORDERS))),
-            _optional([("--samples", ["-1", "0", "1", "3", "70000", "x"]), ("--seed", None),
-                       ("--allow-large", False), ("--max-arc-sum", None)]))))
-        parts = [parts[0], *parts[1], *parts[2]]
+        scope = draw(st.one_of(st.tuples(_switch("--exhaustive"), _pair("--order", _SMALL_ORDERS)),
+                               st.tuples(_switch("--random"), _pair("--order", _ORDERS)),
+                               st.tuples(_pair("--order", _ORDERS))))
+        parts = [draw(_pair("--property", st.sampled_from(PROPERTY_IDS + ("nope",)))), *scope,
+                 *draw(_optional([("--samples", ["-1", "0", "1", "3", "70000", "x"]),
+                                  ("--seed", None), ("--allow-large", False),
+                                  ("--max-arc-sum", None)]))]
     elif command == "census":
         source = draw(st.lists(st.one_of(_pair("--tournament", _SERIALS),
                                          _pair("--input", st.sampled_from(files)),
