@@ -5,7 +5,9 @@ two order-3 tournaments, the package's own permutation oracle, and a third
 from-scratch brute force written here with no shared helpers.
 """
 
-from itertools import permutations
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -40,7 +42,9 @@ from tourcensus import (
     transitive,
     word_int,
 )
-from tourcensus.census import _Lanes, _advance, _spanning_census, _spanning_path_counts, _word_dp
+from tourcensus.census import (
+    _Lanes, _advance, _per_path, _spanning_census, _spanning_path_counts, _word_dp,
+)
 
 TT3 = Tournament.parse("3:111")
 C3 = Tournament.parse("3:101")
@@ -165,15 +169,17 @@ def test_enumeration_word_counts_matches_count_enumerations():
 
 
 def test_spanning_word_counts_cut_matches_open_walk():
-    # spanning words come from cutting closed readings from vertex 0; the open
+    # path words of every length come from cutting closed readings; the open
     # walk from every start is the reference they must reproduce exactly
     hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
     hosts += [T for n, k in ((6, 4), (7, 3), (8, 2), (9, 2), (10, 2))
               for T in random_tournaments(n, 90 + n, k)]
     for T in hosts:
-        words = enumeration_word_counts(T, T.n)
-        assert words == _word_dp(T, range(T.n), T.n - 1), T.serialize()
-        assert sum(words.values()) == factorial(T.n), T.serialize()
+        n = T.n
+        for m in range(2, n + 1):
+            words = enumeration_word_counts(T, m)
+            assert words == _word_dp(T, range(n), m - 1), (T.serialize(), m)
+            assert sum(words.values()) == factorial(n) // factorial(n - m), (T.serialize(), m)
 
 
 def bit_loop_advance(states, masks):
@@ -283,15 +289,35 @@ def test_census_matches_oracle(T):
     assert a.cycle_counts == b.cycle_counts
 
 
+@lru_cache(maxsize=None)
+def _oracle_of(T):
+    return oracle_census(T)
+
+
+def _oracle_by_length(T, m):
+    """Oracle path and cycle class counts summed over T's m-vertex subtournaments."""
+    paths, cycles = Counter(dict.fromkeys(path_type_classes(m - 1), 0)), Counter()
+    for S in combinations(range(T.n), m):
+        report = _oracle_of(T.induced(S))
+        paths.update(report.path_counts)
+        cycles.update(report.cycle_counts)
+    return dict(paths), dict(cycles)
+
+
 def test_cycle_census_from_vertex_zero_matches_oracle():
     # the census reads cycles only from vertex 0 and paths by cutting those
-    # readings; the oracle classifies every permutation
+    # readings; the oracle classifies every permutation of every vertex subset
     hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
     hosts += [T for n, k in ((6, 8), (7, 4), (8, 2)) for T in random_tournaments(n, 40 + n, k)]
     for T in hosts:
         ours, oracle = census(T), oracle_census(T)
         assert ours.cycle_counts == oracle.cycle_counts, T.serialize()
         assert ours.path_counts == oracle.path_counts, T.serialize()
+        for m in range(3, T.n + 1):
+            words = enumeration_word_counts(T, m)
+            paths = {cls: _per_path(words.get(word_int(cls), 0), cls)
+                     for cls in path_type_classes(m - 1)}
+            assert paths == _oracle_by_length(T, m)[0], (T.serialize(), m)
 
 
 def _members(lanes):
@@ -326,6 +352,11 @@ def test_lane_walk_matches_single_tournaments():
                     lane_words[x][w] = v
         lane_cycles = [{cls: lanes.unpack(c)[x] for cls, c in cycles.items()}
                        for x in range(len(members))]
+        for m in range(2, n + 1):
+            packed = enumeration_word_counts(lanes.T, m, lanes)
+            for x, T in enumerate(members):
+                lane = {w: v for w, c in packed.items() if (v := lanes.unpack(c)[x])}
+                assert lane == enumeration_word_counts(T, m), (T.serialize(), m)
         for x, T in enumerate(members):
             assert lanes.tournament(x) == T
             assert lane_words[x] == _word_dp(T, range(n), n - 1), T.serialize()
