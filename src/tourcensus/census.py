@@ -6,15 +6,17 @@ sharing a prefix share its steps, or every word of one length; paths halve
 the tally of symmetric types, cycles close back to the start and divide by
 delta * t, the readings each cycle of the type contributes.
 
-The spanning census is one closed walk from vertex 0.  Every Hamiltonian
-cycle has exactly two readings starting there, one per direction, so each
-cycle class tally is halved.  Every Hamiltonian path closes into exactly one
-Hamiltonian cycle, through the arc between its ends, so cutting each closed
-reading at each of its n arcs yields every Hamiltonian path sequence exactly
-once, and no open walk from all n starts is needed.
+The census of m-vertex paths and m-arc cycles reads each cycle from its
+lowest vertex: a closed walk from each start s over the vertices above it.
+Every such cycle has exactly two readings from there, one per direction, so
+each cycle class tally is halved.  Every path of m vertices closes into
+exactly one m-arc cycle, through the arc between its ends, so cutting each
+closed reading at each of its m arcs yields every path sequence exactly once,
+and no open walk is needed.  The spanning census is the walk from vertex 0.
 
-Only the first step and the closing arc of that walk touch vertex 0, so one
-walk counts every tournament that differs from T only in vertex 0's arcs.
+Only the first step and the closing arc of the walk from vertex 0 touch it,
+and no other walk touches it at all, so one census counts every tournament
+that differs from T only in vertex 0's arcs.
 Each count is then a packed int with one lane per tournament (``_Lanes``):
 lane x is T with its serial bits 0..n-2, vertex 0's arcs, flipped by x, and
 is ``n!.bit_length()`` bits wide, since a lane counts at most n! vertex
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadSubsetError,
@@ -306,16 +308,6 @@ class _Lanes:
         full = (1 << self.width) - 1
         return [value >> self.width * i & full for i in range(self.count)]
 
-    def map(self, fn: Callable[[Tournament], dict]) -> dict:
-        """``fn`` of every lane's tournament, a dict of counts, packed per key."""
-        if self.count == 1:
-            return fn(self.T)
-        out: dict = {}
-        for i in range(self.count):
-            for k, c in fn(self.tournament(i)).items():
-                out[k] = out.get(k, 0) + (c << self.width * i)
-        return out
-
 
 _OPEN = ((-1,) * 16, (-1,) * 16)  # the closing lanes of an open walk: every end counts
 
@@ -332,7 +324,9 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
     is read at the node where it ends.  With ``closed`` each start runs alone
     and a word's last arc is the closing test back to it rather than a step;
     the first step and that test take their lanes from ``lanes`` (a closed
-    walk from vertex 0 only), by default the one lane of T at each start.
+    walk from vertex 0 only), by default the one lane of T at each start.  A
+    closed walk over every word steps only to vertices above its start, so
+    each cycle is read from its lowest vertex alone.
     Returns the tally per word, as given or packed with ``None``; with
     ``by_mask`` a dict per word from used-vertex mask to tally.  Zero tallies
     are left out.
@@ -348,10 +342,11 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
         stack = []
         for s in starts:
             ln = _Lanes(T, start=s) if lanes is None else lanes
-            base = (1 << s) << 4
+            below = (1 << s) - 1 if words is None else 0  # never visited: marked used
+            base = ((1 << s) | below) << 4
             for bit, child in root[0]:
-                if ln.seed[bit]:
-                    states = {base + step: c for step, c in ln.seed[bit]}
+                states = {base + step: c for step, c in ln.seed[bit] if not step >> 4 & below}
+                if states:
                     stack.append((child, 1, bit, states, ln.close))
     else:
         stack = [(root, 0, 0, {((1 << v) << 4) | v: 1 for v in starts}, _OPEN)]
@@ -393,11 +388,7 @@ def enumeration_word_counts(T: Tournament, m: int, lanes: _Lanes | None = None) 
     """
     if not 2 <= m <= T.n:
         raise TypeTooLongError(f"word sweep needs 2 <= m <= {T.n}, got {m}")
-    if m == T.n:
-        return _spanning_census(T, lanes)[0]
-    if lanes is None:
-        return _word_dp(T, range(T.n), m - 1)
-    return lanes.map(lambda L: _word_dp(L, range(L.n), m - 1))
+    return _length_census(T, m, lanes)[0]
 
 
 def _halved(readings: int, tup: SignedTuple, lanes: _Lanes | None = None) -> int:
@@ -411,6 +402,11 @@ def _halved(readings: int, tup: SignedTuple, lanes: _Lanes | None = None) -> int
 def _per_path(e: int, alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
     """Paths behind ``e`` enumerations: symmetric types read each from both ends."""
     return _halved(e, alpha, lanes) if is_symmetric(alpha) else e
+
+
+def _f_from_words(words: dict[int, int], alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
+    """Path count of ``alpha`` from a table of word tallies."""
+    return _per_path(words.get(word_int(alpha), 0), alpha, lanes)
 
 
 def count_paths(T: Tournament, alpha: Iterable[int]) -> int:
@@ -466,28 +462,32 @@ def _cut(closed: dict[int, int], n: int) -> dict[int, int]:
     return paths
 
 
-def _spanning_census(T: Tournament, lanes: _Lanes | None = None
-                     ) -> tuple[dict[int, int], dict[SignedTuple, int]]:
-    """Hamiltonian path word tallies and every Hamiltonian cycle type count,
-    zeros included, from one closed walk from vertex 0; packed per lane with
+def _length_census(T: Tournament, m: int, lanes: _Lanes | None = None
+                   ) -> tuple[dict[int, int], dict[SignedTuple, int]]:
+    """Word tallies of the paths of m vertices and the count of every cycle
+    type of m arcs, zeros included (2 <= m <= n); packed per lane with
     ``lanes`` (over T).
 
-    Each such cycle has exactly two readings from vertex 0, one per direction,
-    so the closed words are bucketed by class and halved.  Each Hamiltonian
-    path sequence closes, through the arc between its ends, into exactly one
-    of these readings rotated, so cutting the closed words gives every path
-    word.  Below order 3 there are no cycles to cut, and the path words come
-    from the open walk (one lane only).
+    Each cycle has exactly two readings from its lowest vertex, one per
+    direction, so the closed words of the walks from every start are bucketed
+    by class and halved.  Only the walk from vertex 0 meets vertex 0's arcs;
+    the walks from starts 1..n-m count the same in every lane.  Each path
+    sequence closes, through the arc between its ends, into exactly one of
+    these readings rotated, so cutting the closed words gives every path word.
+    Two vertices close no cycle: each sign word is read off C(n, 2) pairs.
     """
     n = T.n
-    if n < 3:
-        return _word_dp(T, range(n), n - 1), {}
-    closed = _word_dp(T, (0,), n, closed=True, lanes=lanes)
-    readings = dict.fromkeys(cycle_type_classes(n), 0)
-    classes = _cycle_word_classes(n)
+    ones = 1 if lanes is None else lanes.ones
+    if m == 2:
+        return dict.fromkeys((0, 1), n * (n - 1) // 2 * ones), {}
+    closed = _word_dp(T, (0,), m, closed=True, lanes=lanes)
+    for w, c in _word_dp(T, range(1, n - m + 1), m, closed=True).items():
+        closed[w] = closed.get(w, 0) + c * ones
+    readings = dict.fromkeys(cycle_type_classes(m), 0)
+    classes = _cycle_word_classes(m)
     for w, c in closed.items():
         readings[classes[w]] += c
-    return _cut(closed, n), {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
+    return _cut(closed, m), {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
 
 
 def _spanning_path_counts(T: Tournament, paths: Sequence[int],
@@ -543,9 +543,9 @@ def census(T: Tournament) -> CensusReport:
     path_counts: dict[SignedTuple, int] = {}
     cycle_counts: dict[SignedTuple, int] = {}
     if n >= 2:
-        words, cycle_counts = _spanning_census(T)
+        words, cycle_counts = _length_census(T, n)
         for cls in path_type_classes(n - 1):
-            path_counts[cls] = _per_path(words.get(word_int(cls), 0), cls)
+            path_counts[cls] = _f_from_words(words, cls)
     return CensusReport(n, path_counts, cycle_counts)
 
 

@@ -19,10 +19,9 @@ from typing import Callable, Iterable, Iterator
 from .census import (
     ORACLE_MAX_ORDER,
     _Lanes,
-    _per_path,
-    _spanning_census,
+    _f_from_words,
+    _length_census,
     _spanning_path_counts,
-    count_cycles,
     cycle_type_classes,
     enumeration_word_counts,
     oracle_census,
@@ -233,11 +232,6 @@ def _type_field(alpha: SignedTuple) -> dict:
     return {"type": format_type(alpha)}
 
 
-def _f_from_words(words: dict[int, int], alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
-    """Path count from a precomputed word table; halves symmetric types."""
-    return _per_path(words.get(word_int(alpha), 0), alpha, lanes)
-
-
 def _need_oracle(scope: Scope) -> None:
     if scope.order > ORACLE_MAX_ORDER:
         raise ScopeTooLargeError(
@@ -285,11 +279,7 @@ def _check_cycle_identity(scope: Scope, max_arc_sum: int | None):
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         for m in sums:
-            # spanning counts come from one vertex-0 sweep, shorter sums per type
-            if m == scope.order:
-                g = _spanning_census(lanes.T, lanes)[1]
-            else:
-                g = lanes.map(lambda T: {c: count_cycles(T, c) for c in cycle_type_classes(m)})
+            g = _length_census(lanes.T, m, lanes)[1]
             for beta in standard_tuples(m, "cycle"):
                 neg = negate(beta)
                 if beta > neg:
@@ -464,8 +454,8 @@ def _check_complement_bridge(scope: Scope, _):
         # each side is swept on its own, so neither count is derived from the
         # other; lane i of the reversed lanes is the reversal of lane i
         rev = _Lanes(lanes.T.complement(), lanes.count)
-        words, cycles = _spanning_census(lanes.T, lanes)
-        words_rev, cycles_rev = _spanning_census(rev.T, rev)
+        words, cycles = _length_census(lanes.T, n, lanes)
+        words_rev, cycles_rev = _length_census(rev.T, n, rev)
         for alpha in standard_tuples(n - 1, "path"):
             yield (alpha, _f_from_words(words, alpha, lanes),
                    _f_from_words(words_rev, alpha, rev))
@@ -510,7 +500,7 @@ def _check_rosenfeld(scope: Scope, _):
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         # the two Hamiltonian path words alone, one lane per tournament of the batch
         e = _spanning_path_counts(lanes.T, words, lanes)
-        yield alpha, _per_path(e[words[0]], alpha, lanes), _per_path(e[words[1]], neg, lanes)
+        yield alpha, _f_from_words(e, alpha, lanes), _f_from_words(e, neg, lanes)
 
     checked, violations, _ = _sweep(scope, compare, _type_field)
     return checked, violations, {"alpha": format_type(alpha), "trivial": is_symmetric(alpha)}

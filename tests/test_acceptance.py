@@ -71,10 +71,13 @@ def test_c02_cycle_identity_exhaustive():
 
 
 def test_c03_non_spanning_identities():
-    with _Budget("3 non-spanning identities, 100 random order 6", 30):
+    with _Budget("3 non-spanning identities, 100 random order 6 and all of order 6", 30):
         scope = Scope(mode="random", order=6, samples=100, seed=2026)
         _sweep("path-identity", scope, max_arc_sum=4)
         _sweep("cycle-identity", scope, max_arc_sum=4)
+        scope = Scope(mode="exhaustive", order=6)
+        assert _sweep("path-identity", scope, max_arc_sum=5).checked == 1_015_808
+        assert _sweep("cycle-identity", scope, max_arc_sum=6).checked == 1_114_112
 
 
 def test_c04_count_formula():

@@ -43,7 +43,7 @@ from tourcensus import (
     word_int,
 )
 from tourcensus.census import (
-    _Lanes, _advance, _per_path, _spanning_census, _spanning_path_counts, _word_dp,
+    _Lanes, _advance, _f_from_words, _length_census, _spanning_path_counts, _word_dp,
 )
 
 TT3 = Tournament.parse("3:111")
@@ -296,7 +296,7 @@ def _oracle_of(T):
 
 def _oracle_by_length(T, m):
     """Oracle path and cycle class counts summed over T's m-vertex subtournaments."""
-    paths, cycles = Counter(dict.fromkeys(path_type_classes(m - 1), 0)), Counter()
+    paths, cycles = Counter(), Counter()
     for S in combinations(range(T.n), m):
         report = _oracle_of(T.induced(S))
         paths.update(report.path_counts)
@@ -314,10 +314,9 @@ def test_cycle_census_from_vertex_zero_matches_oracle():
         assert ours.cycle_counts == oracle.cycle_counts, T.serialize()
         assert ours.path_counts == oracle.path_counts, T.serialize()
         for m in range(3, T.n + 1):
-            words = enumeration_word_counts(T, m)
-            paths = {cls: _per_path(words.get(word_int(cls), 0), cls)
-                     for cls in path_type_classes(m - 1)}
-            assert paths == _oracle_by_length(T, m)[0], (T.serialize(), m)
+            words, cycles = _length_census(T, m)
+            paths = {cls: _f_from_words(words, cls) for cls in path_type_classes(m - 1)}
+            assert (paths, cycles) == _oracle_by_length(T, m), (T.serialize(), m)
 
 
 def _members(lanes):
@@ -325,11 +324,18 @@ def _members(lanes):
     return [Tournament(lanes.T.n, lanes.T.bits | x) for x in range(lanes.count)]
 
 
+def _lane(lanes, words, cycles, x):
+    """Lane x of a packed census: its nonzero word tallies and every cycle count."""
+    return ({w: v for w, c in words.items() if (v := lanes.unpack(c)[x])},
+            {cls: lanes.unpack(c)[x] for cls, c in cycles.items()})
+
+
 def test_lane_walk_matches_single_tournaments():
     # one closed walk counts a whole run of tournaments that differ only in
-    # vertex 0's arcs; lane x must hold exactly the counts of tournament x,
-    # against the open walk (path words), the oracle (orders 3-5) or the
-    # per-type cycle counts (orders 6-7, 32 and 64 lanes)
+    # vertex 0's arcs; lane x must hold exactly the counts of tournament x at
+    # every length, and the spanning ones against the open walk (path words),
+    # the oracle (orders 3-5) or the per-type cycle counts (orders 6-7, 32 and
+    # 64 lanes)
     runs = []
     for n in (3, 4, 5):
         batch = [(lanes, _members(lanes)) for lanes in _Lanes.runs(n)]
@@ -341,32 +347,23 @@ def test_lane_walk_matches_single_tournaments():
     for lanes, members in runs:
         n = lanes.T.n
         directed = (1 << (n - 1)) - 1
-        words, cycles = _spanning_census(lanes.T, lanes)
         paths = _spanning_path_counts(lanes.T, (directed,), lanes)[directed]
         assert lanes.count == len(members) == 1 << (n - 1)
         assert lanes.unpack(paths) == [count_enumerations(T, (n - 1,)) for T in members]
-        lane_words = [{} for _ in members]
-        for w, c in words.items():
-            for x, v in enumerate(lanes.unpack(c)):
-                if v:
-                    lane_words[x][w] = v
-        lane_cycles = [{cls: lanes.unpack(c)[x] for cls, c in cycles.items()}
-                       for x in range(len(members))]
         for m in range(2, n + 1):
-            packed = enumeration_word_counts(lanes.T, m, lanes)
+            words, cycles = _length_census(lanes.T, m, lanes)
             for x, T in enumerate(members):
-                lane = {w: v for w, c in packed.items() if (v := lanes.unpack(c)[x])}
-                assert lane == enumeration_word_counts(T, m), (T.serialize(), m)
-        for x, T in enumerate(members):
+                # the one-lane walk is the plain census of the same tournament
+                assert _lane(lanes, words, cycles, x) == _length_census(T, m), (T.serialize(), m)
+        for x, T in enumerate(members):  # words and cycles are the spanning census here
             assert lanes.tournament(x) == T
-            assert lane_words[x] == _word_dp(T, range(n), n - 1), T.serialize()
+            lane_words, lane_cycles = _lane(lanes, words, cycles, x)
+            assert lane_words == _word_dp(T, range(n), n - 1), T.serialize()
             if n <= 5:
                 expect = oracle_census(T).cycle_counts
             else:
                 expect = {cls: count_cycles(T, cls) for cls in cycle_type_classes(n)}
-            assert lane_cycles[x] == expect, T.serialize()
-            # the one-lane walk is the plain census of the same tournament
-            assert _spanning_census(T) == (lane_words[x], expect), T.serialize()
+            assert lane_cycles == expect, T.serialize()
             assert _spanning_path_counts(T, (directed,)) == {directed: lanes.unpack(paths)[x]}
 
 

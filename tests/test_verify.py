@@ -217,8 +217,8 @@ def _bump_census(result, i, lanes):
 @pytest.mark.parametrize("pid, source, bump", [
     ("path-identity", "enumeration_word_counts", _bump_words),
     ("enumeration-partition", "enumeration_word_counts", _bump_words),
-    ("cycle-identity", "_spanning_census", _bump_census),
-    ("complement-bridge", "_spanning_census", _bump_census),
+    ("cycle-identity", "_length_census", _bump_census),
+    ("complement-bridge", "_length_census", _bump_census),
 ])
 def test_batched_violations_match_single_tournaments(monkeypatch, pid, source, bump):
     scope = Scope(mode="exhaustive", order=6)
