@@ -305,8 +305,9 @@ def _oracle_by_length(T, m):
 
 
 def test_cycle_census_from_vertex_zero_matches_oracle():
-    # the census reads cycles only from vertex 0 and paths by cutting those
-    # readings; the oracle classifies every permutation of every vertex subset
+    # the census reads each cycle from its lowest vertex only and paths by
+    # cutting those readings; the oracle classifies every permutation of every
+    # vertex subset
     hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
     hosts += [T for n, k in ((6, 8), (7, 4), (8, 2)) for T in random_tournaments(n, 40 + n, k)]
     for T in hosts:
