@@ -461,3 +461,17 @@ def test_path_classes_cover_all_paths(T):
         for c in part.classes:
             assert not (seen & c.paths)
             seen |= c.paths
+        # from scratch: the arc set of every sequence spelling alpha, grouped
+        # by the arc set it closes into through the arc between its ends
+        signs = []
+        for block in alpha:
+            signs += [block > 0] * abs(block)
+        expect = {}
+        for perm in permutations(range(T.n)):
+            if all(T.has_arc(u, v) == s for (u, v), s in zip(zip(perm, perm[1:]), signs)):
+                ring = zip(perm, perm[1:] + perm[:1])
+                arcs = [(u, v) if T.has_arc(u, v) else (v, u) for u, v in ring]
+                expect.setdefault(frozenset(arcs), set()).add(frozenset(arcs[:-1]))
+        assert {c.cycle_arcs: c.paths for c in part.classes} == expect, T.serialize()
+        order = [sorted(c.cycle_arcs) for c in part.classes]
+        assert order == sorted(order)
