@@ -19,6 +19,8 @@ from .census import census
 from .digraphs import Digraph2Spec, check_complement_invariance, count_copies
 from .errors import ScopeTooLargeError, TourCensusError
 from .tournaments import (
+    EXHAUSTIVE_HARD_MAX,
+    EXHAUSTIVE_MAX_ORDER,
     Tournament,
     all_tournaments,
     load_tournaments,
@@ -59,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, metavar="K", help="with --random (default 1)")
     p.add_argument("--seed", type=int, metavar="S", help="with --random (default 0)")
     p.add_argument("--allow-large", action="store_true",
-                   help="raise the exhaustive cap from 6 to 7")
+                   help=f"raise the exhaustive cap from {EXHAUSTIVE_MAX_ORDER} "
+                        f"to {EXHAUSTIVE_HARD_MAX}")
     p.add_argument("--max-arc-sum", type=int, default=None, metavar="M",
                    help="also check non-spanning types up to this arc sum "
                         "(path-identity and cycle-identity only)")

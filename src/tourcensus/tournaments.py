@@ -13,11 +13,15 @@ from typing import Iterable, Iterator
 from .errors import BadSubsetError, ParseError, ScopeTooLargeError
 
 MAX_ORDER = 16
+EXHAUSTIVE_MAX_ORDER = 6
+EXHAUSTIVE_HARD_MAX = 7  # with ``allow_large``: the count doubles per pair, 2^21 at n = 7
 
 _MASK64 = (1 << 64) - 1
 
 __all__ = [
     "MAX_ORDER",
+    "EXHAUSTIVE_MAX_ORDER",
+    "EXHAUSTIVE_HARD_MAX",
     "Tournament",
     "pair_index",
     "parse",
@@ -166,10 +170,10 @@ def transitive(n: int) -> Tournament:
 def all_tournaments(n: int, allow_large: bool = False) -> Iterator[Tournament]:
     """Every order-n tournament as raw bit patterns, in increasing bit order.
 
-    No isomorphism reduction is applied.  Capped at n = 6 (n = 7 with
-    ``allow_large``): the count doubles per pair, 2^21 at n = 7.
+    No isomorphism reduction is applied.  Capped at ``EXHAUSTIVE_MAX_ORDER``,
+    or ``EXHAUSTIVE_HARD_MAX`` with ``allow_large``.
     """
-    cap = 7 if allow_large else 6
+    cap = EXHAUSTIVE_HARD_MAX if allow_large else EXHAUSTIVE_MAX_ORDER
     if n > cap:
         raise ScopeTooLargeError(f"exhaustive enumeration capped at order {cap}")
     m = n * (n - 1) // 2

@@ -38,7 +38,14 @@ from .errors import (
     TypeTooLongError,
     UnknownPropertyError,
 )
-from .tournaments import Tournament, all_tournaments, random_tournaments, seed_stream
+from .tournaments import (
+    EXHAUSTIVE_HARD_MAX,
+    EXHAUSTIVE_MAX_ORDER,
+    Tournament,
+    all_tournaments,
+    random_tournaments,
+    seed_stream,
+)
 from .type_algebra import (
     SignedTuple,
     cycle_canonical,
@@ -57,8 +64,6 @@ from .type_algebra import (
     symmetric_tuples,
 )
 
-EXHAUSTIVE_MAX_ORDER = 6
-EXHAUSTIVE_HARD_MAX = 7
 RANDOM_MAX_ORDER = 12
 RANDOM_MAX_SAMPLES = 1 << 16
 _VIOLATION_CAP = 10
