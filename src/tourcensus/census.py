@@ -26,7 +26,8 @@ the shared arcs, unchanged.  A single tournament is the one-lane case: its
 masks are just its own arcs at the start, so its counts are plain ints.
 
 The brute-force oracle classifies raw permutations and is kept deliberately
-naive so the two engines can check each other.
+naive so the two engines can check each other.  Path classes are cut from
+its Hamiltonian cycles, one class per cycle.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .type_algebra import (
     cycle_canonical,
     delta,
     is_symmetric,
+    neg_reverse,
     path_canonical,
     period_info,
     standard_tuples,
@@ -558,6 +560,14 @@ def _closed_sequences(n: int) -> Iterator[tuple[int, ...]]:
         yield (0,) + rest
 
 
+@lru_cache(maxsize=1)
+def _hamiltonian_cycles(T: Tournament) -> tuple[tuple[int, tuple[Arc, ...]], ...]:
+    """Every Hamiltonian cycle of T (order 3 and up) once, as the closed word
+    and the arcs of its reading from ``_closed_sequences``.  Cached for the
+    last T alone: a class-size check asks for every path type of one T."""
+    return tuple((_closed_word_of(T, vs), _closed_arcs(T, vs)) for vs in _closed_sequences(T.n))
+
+
 def _oracle_guard(T: Tournament) -> None:
     if T.n > ORACLE_MAX_ORDER:
         raise ScopeTooLargeError(f"brute-force oracle capped at order {ORACLE_MAX_ORDER}")
@@ -597,19 +607,13 @@ def oracle_cycle_sets(T: Tournament) -> dict[SignedTuple, set[frozenset[Arc]]]:
     if n < 3:
         return out
     classes = _cycle_word_classes(n)
-    for vs in _closed_sequences(n):
-        arcs = frozenset(_closed_arcs(T, vs))
-        out.setdefault(classes[_closed_word_of(T, vs)], set()).add(arcs)
+    for w, arcs in _hamiltonian_cycles(T):
+        out.setdefault(classes[w], set()).add(frozenset(arcs))
     return out
 
 
-def _closed_arcs(T: Tournament, vs: Sequence[int]) -> list[Arc]:
-    arcs = []
-    m = len(vs)
-    for i in range(m):
-        a, b = vs[i], vs[(i + 1) % m]
-        arcs.append((a, b) if T.has_arc(a, b) else (b, a))
-    return arcs
+def _closed_arcs(T: Tournament, vs: tuple[int, ...]) -> tuple[Arc, ...]:
+    return tuple((a, b) if T.has_arc(a, b) else (b, a) for a, b in zip(vs, vs[1:] + vs[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -645,52 +649,30 @@ class ClassPartition:
     classes: tuple[PathClass, ...]
 
 
-def _sequences_with_word(T: Tournament, signs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    out_masks, in_masks = T.out_masks, T.in_masks
-    L = len(signs)
-
-    def rec(seq: list[int], mask: int) -> Iterator[tuple[int, ...]]:
-        d = len(seq) - 1
-        if d == L:
-            yield tuple(seq)
-            return
-        cand = (out_masks if signs[d] > 0 else in_masks)[seq[-1]] & ~mask
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            seq.append(b.bit_length() - 1)
-            yield from rec(seq, mask | b)
-            seq.pop()
-
-    for start in range(T.n):
-        yield from rec([start], 1 << start)
-
-
 def path_classes(T: Tournament, alpha: Iterable[int]) -> ClassPartition:
     """Partition the spanning paths of type ``alpha`` by generated cycle.
 
     Each Hamiltonian path closes into one cycle via the arc between its
-    endpoints; paths landing on the same cycle form a class.
+    endpoints; paths landing on the same cycle form a class.  The classes
+    are cut from the oracle's cycles, so the order is capped like the oracle's.
     """
+    _oracle_guard(T)
     a = check_standard_path(alpha)
     n = T.n
     if n < 3:
         raise TooShortError("generated cycles need at least 3 vertices")
     if arc_sum(a) + 1 != n:
         raise TypeTooLongError(f"type {a} is not spanning for order {n}")
-    signs = expand_signs(a)
-    groups: dict[frozenset[Arc], set[frozenset[Arc]]] = {}
-    types: dict[frozenset[Arc], SignedTuple] = {}
-    for vs in _sequences_with_word(T, signs):
-        closed = _closed_arcs(T, vs)
-        path_arcs = frozenset(closed[:-1])
-        cycle_arcs = frozenset(closed)
-        bucket = groups.setdefault(cycle_arcs, set())
-        bucket.add(path_arcs)
-        if cycle_arcs not in types:
-            types[cycle_arcs] = classify_cycle(T, vs)
-    classes = tuple(
-        PathClass(frozenset(paths), cycle, types[cycle])
-        for cycle, paths in sorted(groups.items(), key=lambda kv: sorted(kv[0]))
-    )
-    return ClassPartition(a, classes)
+    words = {word_int(a), word_int(neg_reverse(a))}
+    low = (1 << (n - 1)) - 1
+    types = _cycle_word_classes(n)
+    classes = []
+    for w, arcs in _hamiltonian_cycles(T):
+        ww = w | w << n
+        # the cut at j reads the path from arc j on, as in ``_cut``; it drops arc j - 1
+        cuts = [arcs[j - 1] for j in range(n) if (ww >> j & low) in words]
+        if cuts:
+            cycle = frozenset(arcs)
+            classes.append(PathClass(frozenset(cycle - {arc} for arc in cuts), cycle, types[w]))
+    classes.sort(key=lambda c: sorted(c.cycle_arcs))
+    return ClassPartition(a, tuple(classes))

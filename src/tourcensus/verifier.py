@@ -328,7 +328,7 @@ def _check_pe_ratio(scope: Scope, _):
 def _check_class_sizes(scope: Scope, _):
     """Paths of one type grouped by generated cycle: each group has exactly
     delta * t members (t generic, 2t direction-symmetric, n circuit)."""
-    _need_oracle(scope)  # explicit path enumeration, same practical bound
+    _need_oracle(scope)  # path_classes cuts the oracle's cycles
     n = scope.order
     if n < 3:
         return 0, [], None

@@ -448,6 +448,8 @@ def test_path_classes_guards():
         path_classes(C3, (1,))  # not spanning
     with pytest.raises(TooShortError):
         path_classes(Tournament.parse("2:1"), (1,))
+    with pytest.raises(ScopeTooLargeError):
+        path_classes(Tournament(9, 0), (8,))  # the oracle's cap
 
 
 @given(random_small(5))
