@@ -15,6 +15,7 @@ from tourcensus import (
     cycle_orbit,
     cycle_type_symmetric,
     delta,
+    expand_signs,
     format_type,
     generated_cycle_types,
     is_standard_cycle,
@@ -30,7 +31,9 @@ from tourcensus import (
     standard_tuples,
     star_one,
     symmetric_tuples,
+    word_int,
 )
+from tourcensus.census import _runs_from_word
 
 
 def standard_paths(max_sum=6):
@@ -354,6 +357,44 @@ def test_symmetric_tuples():
     assert set(all4) <= set(symmetric_tuples(4))
 
 
+def _signed_compositions(total):
+    """Every tuple of nonzero integers whose magnitudes sum to ``total``."""
+    if total == 0:
+        return [()]
+    out = []
+    for head in range(1, total + 1):
+        for rest in _signed_compositions(total - head):
+            out.append((head,) + rest)
+            out.append((-head,) + rest)
+    return out
+
+
+def _positive_first_key(tup):
+    return [(x < 0, abs(x)) for x in tup]
+
+
+@pytest.mark.parametrize("kind,standard", [
+    ("path", is_standard_path), ("cycle", is_standard_cycle),
+])
+def test_standard_tuples_match_a_from_scratch_inventory(kind, standard):
+    for m in range(1, 9):
+        expected = sorted(
+            (t for t in _signed_compositions(m) if standard(t)), key=_positive_first_key
+        )
+        assert len(expected) == len(set(expected))
+        if kind == "path":
+            assert len(expected) == 2 ** m
+        assert list(standard_tuples(m, kind)) == expected
+
+
+def test_every_sign_word_round_trips_through_its_runs():
+    for m in range(11):
+        for w in range(1 << m):
+            runs = _runs_from_word(w, m)
+            assert word_int(runs) == w
+            assert expand_signs(runs) == tuple(1 if w >> i & 1 else -1 for i in range(m))
+
+
 # --- text form --------------------------------------------------------------
 
 def test_format_type():
@@ -398,3 +439,4 @@ def test_parse_type_format_roundtrip_property(tup, pad):
     text = format_type(tup)
     assert parse_type(text) == tuple(tup)
     assert parse_type(pad + text.replace(",", pad + "," + pad) + pad) == tuple(tup)
+
