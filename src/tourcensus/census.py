@@ -49,16 +49,23 @@ from .errors import (
 from .tournaments import Tournament
 from .type_algebra import (
     SignedTuple,
+    _cycle_word_classes,
+    _cyclic_runs_from_word,
+    _path_word_classes,
+    _runs_from_word,
     arc_sum,
     check_standard_cycle,
     check_standard_path,
     cycle_canonical,
+    cycle_type_classes,
     delta,
+    expand_signs,
+    format_type,
     is_symmetric,
     neg_reverse,
-    path_canonical,
+    path_type_classes,
     period_info,
-    standard_tuples,
+    word_int,
 )
 
 ORACLE_MAX_ORDER = 8
@@ -88,71 +95,6 @@ __all__ = [
     "expand_signs",
     "word_int",
 ]
-
-
-# ---------------------------------------------------------------------------
-# sign words
-
-
-def expand_signs(tup: Sequence[int]) -> tuple[int, ...]:
-    """Block tuple to per-arc sign word: (2, -1) -> (1, 1, -1)."""
-    out: list[int] = []
-    for x in tup:
-        out.extend([1 if x > 0 else -1] * abs(x))
-    return tuple(out)
-
-
-def word_int(tup: Sequence[int]) -> int:
-    """Sign word packed into an int, bit k set when arc k runs forward."""
-    w = 0
-    pos = 0
-    for x in tup:
-        if x > 0:
-            w |= ((1 << x) - 1) << pos
-        pos += abs(x)
-    return w
-
-
-def _runs_from_word(w: int, length: int) -> SignedTuple:
-    runs: list[int] = []
-    for i in range(length):
-        s = 1 if w >> i & 1 else -1
-        if runs and (runs[-1] > 0) == (s > 0):
-            runs[-1] += s
-        else:
-            runs.append(s)
-    return tuple(runs)
-
-
-def _cyclic_runs_from_word(w: int, length: int) -> SignedTuple:
-    runs = list(_runs_from_word(w, length))
-    if len(runs) > 1 and (runs[0] > 0) == (runs[-1] > 0):
-        runs = [runs[-1] + runs[0]] + runs[1:-1]
-    return tuple(runs)
-
-
-@lru_cache(maxsize=None)
-def _path_word_classes(n: int) -> tuple[SignedTuple, ...]:
-    """Canonical path type for every (n-1)-arc sign word, indexed by word."""
-    return tuple(path_canonical(_runs_from_word(w, n - 1)) for w in range(1 << (n - 1)))
-
-
-@lru_cache(maxsize=None)
-def _cycle_word_classes(n: int) -> tuple[SignedTuple, ...]:
-    """Canonical cycle type for every n-arc cyclic sign word."""
-    return tuple(cycle_canonical(_cyclic_runs_from_word(w, n)) for w in range(1 << n))
-
-
-@lru_cache(maxsize=None)
-def path_type_classes(total: int) -> tuple[SignedTuple, ...]:
-    """Canonical representatives of all path types with the given arc sum."""
-    return tuple(sorted({path_canonical(t) for t in standard_tuples(total, "path")}))
-
-
-@lru_cache(maxsize=None)
-def cycle_type_classes(total: int) -> tuple[SignedTuple, ...]:
-    """Canonical representatives of all cycle types with the given arc sum."""
-    return tuple(sorted({cycle_canonical(t) for t in standard_tuples(total, "cycle")}))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +467,6 @@ class CensusReport:
     cycle_counts: dict[SignedTuple, int]
 
     def to_json_dict(self) -> dict:
-        from .type_algebra import format_type
-
         return {
             "n": self.order,
             "paths": {format_type(k): v for k, v in sorted(self.path_counts.items())},

@@ -12,28 +12,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .census import (
-    _cyclic_runs_from_word,
-    _per_cycle,
-    _per_path,
-    _runs_from_word,
-    _word_dp,
-    cycle_type_classes,
-    path_type_classes,
-    word_int,
-)
+from .census import _per_cycle, _per_path, _word_dp
 from .errors import DivisibilityViolationError, IllFormedError, ParseError, TypeTooLongError
 from .tournaments import Tournament, seed_stream
 from .type_algebra import (
     SignedTuple,
+    _cyclic_runs_from_word,
+    _runs_from_word,
     _tuple_key,
     arc_sum,
     check_standard_cycle,
     check_standard_path,
     cycle_canonical,
+    cycle_type_classes,
     format_type,
     parse_type,
     path_canonical,
+    path_type_classes,
+    word_int,
 )
 
 __all__ = [

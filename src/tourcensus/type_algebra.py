@@ -10,13 +10,17 @@ number of blocks, so the alternation closes up around the wrap.
 Zeros appear transiently in calculations (an empty block); the normalize
 functions remove them by merging the flanking blocks, which always point the
 same way in any reachable input.
+
+A type is also read arc by arc as a sign word, an int with bit i set when
+arc i runs forward (``word_int((2, -1)) == 0b011``); ``_runs_from_word``
+splits a word back into blocks, and every inventory here is built from words.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyTypeError, IllFormedError, ParseError
 
@@ -49,6 +53,10 @@ __all__ = [
     "generated_cycle_types",
     "standard_tuples",
     "symmetric_tuples",
+    "expand_signs",
+    "word_int",
+    "path_type_classes",
+    "cycle_type_classes",
     "parse_type",
     "format_type",
 ]
@@ -81,10 +89,8 @@ def is_standard_cycle(tup: Iterable[int]) -> bool:
     t = tuple(tup)
     if not t or any(x == 0 for x in t):
         return False
-    if len(t) == 1:
-        return True
     # wrap sign condition closes the alternation, forcing an even length
-    return len(t) % 2 == 0 and _alternates(t) and t[-1] * t[0] < 0
+    return len(t) == 1 or len(t) % 2 == 0 and _alternates(t) and t[-1] * t[0] < 0
 
 
 def check_standard_path(tup: Iterable[int]) -> SignedTuple:
@@ -308,21 +314,65 @@ def generated_cycle_types(alpha: Iterable[int]) -> GeneratedCycles:
     return GeneratedCycles(c1, c2, c1 == c2)
 
 
-def _compositions(total: int) -> list[tuple[int, ...]]:
-    # split points encoded in a bitmask, so the order is deterministic
-    out = []
-    for bits in range(1 << (total - 1)):
-        parts = []
-        run = 1
-        for i in range(total - 1):
-            if bits >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(tuple(parts))
-    return out
+def expand_signs(tup: Sequence[int]) -> tuple[int, ...]:
+    """Block tuple to per-arc sign word: (2, -1) -> (1, 1, -1)."""
+    out: list[int] = []
+    for x in tup:
+        out.extend([1 if x > 0 else -1] * abs(x))
+    return tuple(out)
+
+
+def word_int(tup: Sequence[int]) -> int:
+    """Sign word packed into an int, bit k set when arc k runs forward."""
+    w = 0
+    pos = 0
+    for x in tup:
+        if x > 0:
+            w |= ((1 << x) - 1) << pos
+        pos += abs(x)
+    return w
+
+
+def _runs_from_word(w: int, length: int) -> SignedTuple:
+    runs: list[int] = []
+    for i in range(length):
+        s = 1 if w >> i & 1 else -1
+        if runs and (runs[-1] > 0) == (s > 0):
+            runs[-1] += s
+        else:
+            runs.append(s)
+    return tuple(runs)
+
+
+def _cyclic_runs_from_word(w: int, length: int) -> SignedTuple:
+    runs = list(_runs_from_word(w, length))
+    if len(runs) > 1 and (runs[0] > 0) == (runs[-1] > 0):
+        runs = [runs[-1] + runs[0]] + runs[1:-1]
+    return tuple(runs)
+
+
+@lru_cache(maxsize=None)
+def _path_word_classes(n: int) -> tuple[SignedTuple, ...]:
+    """Canonical path type for every (n-1)-arc sign word, indexed by word."""
+    return tuple(path_canonical(_runs_from_word(w, n - 1)) for w in range(1 << (n - 1)))
+
+
+@lru_cache(maxsize=None)
+def _cycle_word_classes(n: int) -> tuple[SignedTuple, ...]:
+    """Canonical cycle type for every n-arc cyclic sign word."""
+    return tuple(cycle_canonical(_cyclic_runs_from_word(w, n)) for w in range(1 << n))
+
+
+@lru_cache(maxsize=None)
+def path_type_classes(total: int) -> tuple[SignedTuple, ...]:
+    """Canonical representatives of all path types with the given arc sum."""
+    return tuple(sorted({path_canonical(t) for t in standard_tuples(total, "path")}))
+
+
+@lru_cache(maxsize=None)
+def cycle_type_classes(total: int) -> tuple[SignedTuple, ...]:
+    """Canonical representatives of all cycle types with the given arc sum."""
+    return tuple(sorted({cycle_canonical(t) for t in standard_tuples(total, "cycle")}))
 
 
 @lru_cache(maxsize=None)
@@ -336,12 +386,8 @@ def standard_tuples(total: int, kind: str) -> tuple[SignedTuple, ...]:
         raise ValueError("arc sum must be at least 1")
     if kind not in ("path", "cycle"):
         raise ValueError(f"unknown kind {kind!r}")
-    out = []
-    for comp in _compositions(total):
-        if kind == "cycle" and len(comp) != 1 and len(comp) % 2:
-            continue
-        for lead in (1, -1):
-            out.append(tuple(m * (lead if i % 2 == 0 else -lead) for i, m in enumerate(comp)))
+    runs = (_runs_from_word(w, total) for w in range(1 << total))
+    out = [r for r in runs if kind == "path" or len(r) == 1 or len(r) % 2 == 0]
     return tuple(sorted(out, key=_tuple_key))
 
 

@@ -22,13 +22,10 @@ from .census import (
     _f_from_words,
     _length_census,
     _spanning_path_counts,
-    cycle_type_classes,
     enumeration_word_counts,
     oracle_census,
     oracle_cycle_sets,
     path_classes,
-    path_type_classes,
-    word_int,
 )
 from .digraphs import CopyCounter, all_digraph_specs, random_digraph_spec
 from .errors import (
@@ -49,6 +46,7 @@ from .tournaments import (
 from .type_algebra import (
     SignedTuple,
     cycle_canonical,
+    cycle_type_classes,
     delta,
     format_type,
     generated_cycle_types,
@@ -58,10 +56,12 @@ from .type_algebra import (
     normalize_cycle,
     normalize_path,
     path_canonical,
+    path_type_classes,
     period_info,
     standard_tuples,
     star_one,
     symmetric_tuples,
+    word_int,
 )
 
 RANDOM_MAX_ORDER = 12

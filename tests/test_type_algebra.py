@@ -33,7 +33,7 @@ from tourcensus import (
     symmetric_tuples,
     word_int,
 )
-from tourcensus.census import _runs_from_word
+from tourcensus.type_algebra import _runs_from_word
 
 
 def standard_paths(max_sum=6):
