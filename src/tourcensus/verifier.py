@@ -106,6 +106,8 @@ class Scope:
                 raise ScopeTooLargeError(
                     f"random scope capped at order {RANDOM_MAX_ORDER}, got {self.order}"
                 )
+            if self.allow_large:
+                raise ValueError("allow_large only applies to exhaustive scopes")
             if self.samples < 1:
                 raise ValueError("random scope needs samples >= 1")
             if self.samples > RANDOM_MAX_SAMPLES:

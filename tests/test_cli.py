@@ -166,6 +166,13 @@ def test_verify_scope_too_large(capsys):
     assert code == 0
 
 
+def test_verify_allow_large_rejected_on_random_scope(capsys):
+    # the flag only raises the exhaustive cap; a random scope used to echo and ignore it
+    code, out, err = run(capsys, "verify", "--property", "path-identity",
+                         "--random", "--order", "5", "--allow-large")
+    assert code == 2 and not out and "allow_large" in err
+
+
 def test_verify_unknown_property_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--property", "nope",
                          "--exhaustive", "--order", "4")

@@ -52,6 +52,8 @@ def test_scope_random_caps():
     Scope(mode="random", order=3, samples=RANDOM_MAX_SAMPLES)
     with pytest.raises(ScopeTooLargeError, match="samples"):
         Scope(mode="random", order=3, samples=RANDOM_MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match="allow_large"):
+        Scope(mode="random", order=5, samples=1, allow_large=True)
     with pytest.raises(ValueError):
         Scope(mode="unknown", order=4)
 
