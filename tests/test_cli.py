@@ -167,7 +167,7 @@ def test_verify_scope_too_large(capsys):
 
 
 def test_verify_allow_large_rejected_on_random_scope(capsys):
-    # the flag only raises the exhaustive cap; a random scope used to echo and ignore it
+    # the flag only raises the exhaustive cap, so a random scope refuses it
     code, out, err = run(capsys, "verify", "--property", "path-identity",
                          "--random", "--order", "5", "--allow-large")
     assert code == 2 and not out and "allow_large" in err
