@@ -11,9 +11,9 @@ so a shared bug cannot confirm itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush, heappushpop
 from itertools import repeat
 from math import factorial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .census import (
@@ -175,9 +175,22 @@ def list_types(total: int, kind: str) -> list[SignedTuple]:
 
 
 def _single_runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
-    """The scope's tournaments one lane each, with their indices."""
-    for index, T in scope.tournaments():
-        yield index, _Lanes(T)
+    """The scope's tournaments one lane each, with their indices.
+
+    A random scope comes in sample order.  An exhaustive one comes as
+    complement pairs: each serial b with its top bit clear, then its
+    reversal b ^ full, so a checker can count both of a pair at once.
+    """
+    n = scope.order
+    m = n * (n - 1) // 2
+    if scope.is_random or m == 0:  # orders 0 and 1 hold one tournament
+        for index, T in scope.tournaments():
+            yield index, _Lanes(T)
+        return
+    full = (1 << m) - 1
+    for low in range(1 << (m - 1)):
+        for bits in (low, low ^ full):
+            yield bits, _Lanes(Tournament(n, bits))
 
 
 def _lane_runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
@@ -208,12 +221,13 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
     fields.  It gives one record per failing lane: the lane's tournament,
     those fields, the lane's sides and, on a random scope, its sample.
     Packed sides are unpacked only where they differ; the sides of a single
-    lane pass through as they are.  A batch's records are reported in lane
-    order, so the capped list matches a loop over single tournaments.
+    lane pass through as they are.  Records are kept in scope order, by the
+    lane's index and then the order ``compare`` gave them, whatever order the
+    runs come in, so the capped list matches a loop over single tournaments.
     """
-    checked, violations = 0, []
+    checked, seen = 0, 0
+    kept: list[tuple[int, int, dict]] = []  # the smallest keys so far, negated
     for index, lanes in (runs or _lane_runs)(scope):
-        found: list[tuple[int, dict]] = []
         for key, lhs, rhs, *verdict in compare(lanes):
             checked += lanes.count
             if verdict[0] if verdict else lhs == rhs:
@@ -229,10 +243,13 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
                           "lhs": a, "rhs": b}
                 if scope.is_random:
                     record["sample"] = index + i
-                found.append((i, record))
-        found.sort(key=itemgetter(0))
-        violations.extend(record for _, record in found[:_VIOLATION_CAP - len(violations)])
-    return checked, violations, None
+                seen += 1
+                entry = (-(index + i), -seen, record)
+                if len(kept) < _VIOLATION_CAP:
+                    heappush(kept, entry)
+                else:
+                    heappushpop(kept, entry)
+    return checked, [record for *_, record in sorted(kept, reverse=True)], None
 
 
 def _type_field(alpha: SignedTuple) -> dict:
@@ -442,10 +459,23 @@ def _check_h_invariance(scope: Scope, _):
     else:
         patterns = repeat(all_digraph_specs(n))
 
+    # an exhaustive scope comes as complement pairs: the first tournament of
+    # a pair counts both hosts, and its partner, which comes next, takes the
+    # swapped sides
+    partner = None
+
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
+        nonlocal partner
         specs = next(patterns)
-        forward = CopyCounter(lanes.T).counts(specs)
-        reverse = CopyCounter(lanes.T.complement()).counts(specs)
+        if partner is not None and partner[0] == lanes.T.bits:
+            _, forward, reverse = partner
+            partner = None
+        else:
+            rev = lanes.T.complement()
+            forward = CopyCounter(lanes.T).counts(specs)
+            reverse = CopyCounter(rev).counts(specs)
+            if not scope.is_random:  # a sample's partner draws another pattern
+                partner = rev.bits, reverse, forward
         return zip(specs, forward, reverse)
 
     return _sweep(scope, compare, lambda spec: {"digraph": spec.render()}, _single_runs)

@@ -476,6 +476,93 @@ def test_oracle_and_copy_violation_records(monkeypatch, fault, mode):
         assert '"lhs": true, "rhs": false' in json.dumps(report.violations[0])
 
 
+# --- exhaustive single-lane sweeps run as complement pairs ---------------------------
+
+@pytest.mark.parametrize("order", range(7))
+def test_single_runs_pair_each_tournament_with_its_reversal(order):
+    m = order * (order - 1) // 2
+    full = (1 << m) - 1
+    runs = list(verify_mod._single_runs(Scope(mode="exhaustive", order=order)))
+    indices = [index for index, _ in runs]
+    assert sorted(indices) == list(range(1 << m))  # every serial exactly once
+    assert all(lanes.count == 1 and lanes.T.bits == index for index, lanes in runs)
+    if m:
+        pairs = list(zip(indices[::2], indices[1::2]))
+        assert all(b >> (m - 1) == 0 and c == b ^ full for b, c in pairs)
+
+
+def test_single_runs_keep_random_sample_order():
+    scope = Scope(mode="random", order=6, samples=24, seed=5)
+    runs = [(index, lanes.T) for index, lanes in verify_mod._single_runs(scope)]
+    assert runs == list(scope.tournaments())
+
+
+def _count_counts_calls(monkeypatch):
+    calls = []
+
+    class CountingCounter(CopyCounter):
+        def counts(self, patterns):
+            calls.append(self.T.bits)
+            return super().counts(patterns)
+    monkeypatch.setattr(verify_mod, "CopyCounter", CountingCounter)
+    return calls
+
+
+@pytest.mark.parametrize("order", range(2, 6))
+def test_h_invariance_counts_each_host_once(monkeypatch, order):
+    calls = _count_counts_calls(monkeypatch)
+    report = verify("h-invariance", Scope(mode="exhaustive", order=order))
+    assert report.passed
+    m = order * (order - 1) // 2
+    assert sorted(calls) == list(range(1 << m))
+
+
+def test_h_invariance_random_scope_counts_both_hosts_per_sample(monkeypatch):
+    calls = _count_counts_calls(monkeypatch)
+    scope = Scope(mode="random", order=6, samples=24, seed=5)
+    assert verify("h-invariance", scope).passed
+    assert len(calls) == 48
+    assert calls[::2] == [T.bits for _, T in scope.tournaments()]
+
+
+def _flaky(T):
+    return T.bits % 5 == 3
+
+
+def _two_checks(lanes):
+    """Two comparisons per lane; both fail in the lanes of _flaky tournaments."""
+    lhs = rhs = 0
+    for i in range(lanes.count):
+        lhs |= (2 if _flaky(lanes.tournament(i)) else 1) << lanes.width * i
+        rhs |= 1 << lanes.width * i
+    yield "first", lhs, rhs
+    yield "second", lhs, rhs
+
+
+@pytest.mark.parametrize("scope", [
+    Scope(mode="exhaustive", order=5),
+    Scope(mode="random", order=6, samples=60, seed=2),
+], ids=["exhaustive", "random"])
+@pytest.mark.parametrize("runs", ["_lane_runs", "_single_runs"])
+def test_sweep_reports_in_scope_order_whatever_the_run_order(scope, runs):
+    forward = list(getattr(verify_mod, runs)(scope))
+    in_serial = sorted(forward, key=lambda run: run[0])
+    describe = lambda key: {"check": key}  # noqa: E731
+    serial = verify_mod._sweep(scope, _two_checks, describe, lambda _: in_serial)
+    backward = verify_mod._sweep(scope, _two_checks, describe, lambda _: in_serial[::-1])
+    assert backward == serial
+    # the list a loop over single tournaments in scope order gives
+    expected = []
+    for index, T in scope.tournaments():
+        for key in ("first", "second") if _flaky(T) else ():
+            record = {"tournament": T.serialize(), "check": key, "lhs": 2, "rhs": 1}
+            if scope.is_random:
+                record["sample"] = index
+            expected.append(record)
+    assert len(expected) > 10
+    assert serial[1] == expected[:10]
+
+
 # --- the alternating special case -------------------------------------------------
 
 def test_rosenfeld_nontrivial_case():
