@@ -12,7 +12,9 @@ every subcommand: no document carries a timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .census import census
@@ -178,11 +180,29 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, doc = args.handler(args)
+        _emit(json.dumps(doc, sort_keys=True) + "\n")
     except (TourCensusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(doc, sort_keys=True))
     return code
+
+
+def _emit(text: str) -> None:
+    """Write and flush ``text`` to stdout, so that a full or closed stdout
+    fails here.  After a failure the stdout descriptor is pointed at the null
+    device, so the interpreter's own flush at exit has nothing left to fail
+    on; a stream without a descriptor is left as it is."""
+    out = sys.stdout
+    try:
+        out.write(text)
+        out.flush()
+    except OSError:
+        with contextlib.suppress(OSError, ValueError):
+            fd = out.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise
 
 
 def entry() -> None:

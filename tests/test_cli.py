@@ -296,6 +296,48 @@ def test_python_dash_m_runs_the_cli():
     assert doc["n"] == 5 and doc["seed"] == 0
 
 
+class _FullStream(io.StringIO):
+    """A stdout that fails the way a full device does, on write or on flush."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch, fail_on):
+    monkeypatch.setattr(sys, "stdout", _FullStream(fail_on))
+    code = main(["gen", "--transitive", "--order", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_to_full_device_exits_two_without_traceback():
+    env = dict(os.environ)
+    src = str(Path(tourcensus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tourcensus", "gen", "--transitive", "--order", "3"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    # one error line: no traceback, and no second failure when the
+    # interpreter flushes stdout at exit (which would exit 120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("gen", "--all", "--order", "3", "--count", "5"), "--count"),
     (("gen", "--all", "--order", "3", "--seed", "9"), "--seed"),
