@@ -11,7 +11,6 @@ so a shared bug cannot confirm itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappush, heappushpop
 from itertools import repeat
 from math import factorial
 from typing import Callable, Iterable, Iterator
@@ -226,7 +225,7 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
     runs come in, so the capped list matches a loop over single tournaments.
     """
     checked, seen = 0, 0
-    kept: list[tuple[int, int, dict]] = []  # the smallest keys so far, negated
+    kept: list[tuple[int, int, dict]] = []  # the records of the smallest keys so far
     for index, lanes in (runs or _lane_runs)(scope):
         for key, lhs, rhs, *verdict in compare(lanes):
             checked += lanes.count
@@ -244,12 +243,10 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
                 if scope.is_random:
                     record["sample"] = index + i
                 seen += 1
-                entry = (-(index + i), -seen, record)
-                if len(kept) < _VIOLATION_CAP:
-                    heappush(kept, entry)
-                else:
-                    heappushpop(kept, entry)
-    return checked, [record for *_, record in sorted(kept, reverse=True)], None
+                kept.append((index + i, seen, record))
+                if len(kept) > _VIOLATION_CAP:
+                    kept.remove(max(kept))
+    return checked, [record for *_, record in sorted(kept)], None
 
 
 def _type_field(alpha: SignedTuple) -> dict:
