@@ -1,7 +1,7 @@
 """Record a BENCH_*.json: the benchmark run on a parent and a change, paired.
 
-    python3 tools/bench_record.py --out BENCH_11.json
-    python3 tools/bench_record.py --out BENCH_11.json --parent HEAD~1 --change HEAD
+    python3 tools/bench_record.py --out BENCH_<n>.json
+    python3 tools/bench_record.py --out BENCH_<n>.json --parent HEAD~1 --change HEAD
 
 Both revisions are exported from git (``git archive``) into one temporary
 directory outside the repository, which is deleted at the end.  So both sides
@@ -11,8 +11,9 @@ repository's ``.git``.  In each export the unchanged benchmark command of
 
     python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
 
-once per workload and seed of a fixed list, parent and change back to back.
-Which side runs first alternates from one seed to the next.  Then one
+once per workload and seed of a fixed list (``--seconds`` is the file's
+``run_seconds``), parent and change back to back.  Which side runs first
+alternates from one seed to the next.  Then one
 ``--trace 1`` run per side and workload, on the first seed, records the
 per-layer counters.  Standard library only; nothing is installed.
 
@@ -161,10 +162,11 @@ def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
         return None
 
 
-def record(parent: str, change: str, workloads: list[str], seeds: list[int],
-           seconds: float) -> dict:
+def record(parent: str, change: str, workloads: list[str] | None, seeds: list[int]) -> dict:
+    """Run the benchmark on both revisions; ``None`` means every workload."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    command = bench["command"]
+    command, seconds = bench["command"], bench["run_seconds"]
+    workloads = workloads or [w["name"] for w in bench["workloads"]]
     shas = {"parent": _git("rev-parse", parent), "change": _git("rev-parse", change)}
     scratch = Path(tempfile.mkdtemp(prefix="bench_record_"))
     try:
@@ -212,14 +214,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
     parser.add_argument("--parent", help="parent revision (default: the change's first parent)")
     parser.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
-    parser.add_argument("--workloads", default="census,sweep,copies")
+    parser.add_argument("--workloads", help="comma-separated subset (default: all)")
     parser.add_argument("--seeds", default=",".join(map(str, SEEDS)))
-    parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
     # on SIGTERM, unwind so that the exported checkouts are deleted
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    doc = record(args.parent or f"{args.change}^", args.change, args.workloads.split(","),
-                 [int(s) for s in args.seeds.split(",")], args.seconds)
+    doc = record(args.parent or f"{args.change}^", args.change,
+                 args.workloads.split(",") if args.workloads else None,
+                 [int(s) for s in args.seeds.split(",")])
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     for workload, entry in doc["workloads"].items():
