@@ -85,4 +85,52 @@ def test_summarize_pairs_runs_by_seed_and_skips_missing_ones():
 def test_no_pairs_claim_nothing():
     doc = bench_record.compare_metric([], "lower", 0.25)
     assert doc == {"pairs": 0, "change_wins": 0, "parent_wins": 0,
-                   "gain": False, "beyond_bound": False}
+                   "gain": False, "beyond_bound": False, "unresolved": True}
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    # parent quartile distance 0.09: resolved under a 0.25 bound, not under 0.05
+    change = [3.45 - 0.01 * i for i in range(10)]  # 3.45 down to 3.36
+    pairs = list(zip(_PARENT, change))
+    assert not bench_record.compare_metric(pairs, "lower", 0.25)["unresolved"]
+    assert bench_record.compare_metric(pairs, "lower", 0.05)["unresolved"]
+    assert not bench_record.compare_metric(pairs, "lower")["unresolved"]
+    # ... unless every change run beats every parent run
+    faster = [2.8 + 0.01 * i for i in range(10)]
+    doc = bench_record.compare_metric(list(zip(_PARENT, faster)), "lower", 0.05)
+    assert not doc["unresolved"] and doc["gain"]
+    # parent quartile distance 0.045 and bound 0.04: a far worse change is both
+    doc = bench_record.compare_metric(list(zip(faster, _PARENT)), "lower", 0.04)
+    assert doc["unresolved"] and doc["beyond_bound"] and not doc["gain"]
+
+
+def _run(wall, failed=0, attempted=10):
+    return {"correct": not failed, "attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+
+_WALL = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def test_no_gain_when_the_change_fails_more_operations():
+    parent = [_run(w) for w in _PARENT]
+    change = [_run(2.8 + 0.01 * i) for i in range(10)]
+    assert bench_record.summarize({"parent": parent, "change": change}, _WALL)[
+        "metrics"]["wall_s"]["gain"]
+    change[3] = _run(2.83, failed=1)
+    doc = bench_record.summarize({"parent": parent, "change": change}, _WALL)
+    assert doc["sides"]["change"]["failed"] == 1
+    assert doc["metrics"]["wall_s"]["change_wins"] == 10
+    assert not doc["metrics"]["wall_s"]["gain"]
+    # as many failures on both sides leave the gain standing
+    parent[5] = _run(3.50, failed=1)
+    assert bench_record.summarize({"parent": parent, "change": change}, _WALL)[
+        "metrics"]["wall_s"]["gain"]
+
+
+def test_no_gain_when_the_change_loses_more_runs():
+    parent = [_run(w) for w in _PARENT] + [_run(3.5)]
+    change = [_run(2.8 + 0.01 * i) for i in range(10)] + [None]
+    doc = bench_record.summarize({"parent": parent, "change": change}, _WALL)
+    assert doc["metrics"]["wall_s"]["change_wins"] == 10
+    assert not doc["metrics"]["wall_s"]["gain"]

@@ -1,9 +1,9 @@
 """Record a BENCH_*.json: the benchmark run on a parent and a change, paired.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json
-    python3 tools/bench_record.py --out BENCH_<n>.json --parent HEAD~1 --change HEAD
+    python3 tools/bench_record.py --out BENCH_<n>.json [--parent REV]
 
-Both revisions are exported from git (``git archive``) into one temporary
+The change is HEAD and the parent is HEAD's first parent unless ``--parent``
+names another revision.  Both revisions are exported from git (``git archive``) into one temporary
 directory outside the repository, which is deleted at the end.  So both sides
 run their committed files, and an interrupted recording leaves nothing in the
 repository's ``.git``.  In each export the unchanged benchmark command of
@@ -11,8 +11,8 @@ repository's ``.git``.  In each export the unchanged benchmark command of
 
     python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
 
-once per workload and seed of a fixed list (``--seconds`` is the file's
-``run_seconds``), parent and change back to back.  Which side runs first
+once per workload of the file and seed of the fixed list ``SEEDS``
+(``--seconds`` is the file's ``run_seconds``), parent and change back to back.  Which side runs first
 alternates from one seed to the next.  Then one
 ``--trace 1`` run per side and workload, on the first seed, records the
 per-layer counters.  Standard library only; nothing is installed.
@@ -20,8 +20,12 @@ per-layer counters.  Standard library only; nothing is installed.
 The file holds, per workload and side, the median and quartiles of every
 end-to-end metric with the pair wins, ``correct`` and ``failed``, and the
 traced metrics; also ``nproc``, the Python version, both shas and the seeds.
-A gain counts only when the change wins at least nine in ten pairs and its
-median beats the parent's by more than the parent's quartile distance.
+A gain counts only when the change wins at least nine in ten pairs, its
+median beats the parent's by more than the parent's quartile distance, and it
+fails no more operations and loses no more runs than the parent.  A metric
+whose parent quartile distance exceeds its bound is marked ``unresolved``,
+unless every change run beats every parent run: the runs cannot tell a move
+within the bound from noise.
 """
 
 from __future__ import annotations
@@ -79,7 +83,9 @@ def compare_metric(pairs: list[tuple[float, float]], better: str,
     ``gain`` applies the claim rule: the change wins at least nine in ten
     pairs, and its median beats the parent's by more than the parent's
     quartile distance.  ``beyond_bound`` says the change's median is worse
-    than the parent's by more than ``bound``.
+    than the parent's by more than ``bound``; ``unresolved`` says there are
+    no pairs, or the parent's quartile distance exceeds ``bound`` and not
+    every change run beats every parent run.
     """
     parent = [p for p, _ in pairs]
     change = [c for _, c in pairs]
@@ -87,7 +93,7 @@ def compare_metric(pairs: list[tuple[float, float]], better: str,
                  "change_wins": sum(beats(c, p, better) for p, c in pairs),
                  "parent_wins": sum(beats(p, c, better) for p, c in pairs)}
     if not pairs:
-        return {**doc, "gain": False, "beyond_bound": False}
+        return {**doc, "gain": False, "beyond_bound": False, "unresolved": True}
     for side, values in (("parent", parent), ("change", change)):
         q1, med, q3 = quartiles(values)
         doc[side] = {"median": med, "q1": q1, "q3": q3}
@@ -96,12 +102,16 @@ def compare_metric(pairs: list[tuple[float, float]], better: str,
     spread = doc["parent"]["q3"] - doc["parent"]["q1"]
     doc["gain"] = doc["change_wins"] >= WIN_SHARE * len(pairs) and ahead > spread
     doc["beyond_bound"] = bound is not None and -ahead > bound
+    separated = all(beats(c, p, better) for c in change for p in parent)
+    doc["unresolved"] = bound is not None and spread > bound and not separated
     return doc
 
 
 def summarize(runs: dict[str, list[dict | None]], end_to_end: list[dict]) -> dict:
     """One workload's record from its runs per side, listed by seed; a run is
-    the benchmark's result line, or None when it produced none."""
+    the benchmark's result line, or None when it produced none.  No metric
+    gains when the change fails more operations or loses more runs than the
+    parent."""
     doc: dict = {"sides": {}, "metrics": {}}
     for side, results in runs.items():
         done = [r for r in results if r is not None]
@@ -112,6 +122,9 @@ def summarize(runs: dict[str, list[dict | None]], end_to_end: list[dict]) -> dic
             "attempted": sum(r["attempted"] for r in done),
             "failed": sum(r["failed"] for r in done),
         }
+    parent, change = doc["sides"]["parent"], doc["sides"]["change"]
+    worse = (change["failed"] > parent["failed"]
+             or change["runs_without_result"] > parent["runs_without_result"])
     for metric in end_to_end:
         name = metric["name"]
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -123,6 +136,8 @@ def summarize(runs: dict[str, list[dict | None]], end_to_end: list[dict]) -> dic
             **compare_metric(pairs, metric["better"], metric.get("bound")),
             "values": {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]},
         }
+        if worse:
+            doc["metrics"][name]["gain"] = False
     return doc
 
 
@@ -162,12 +177,13 @@ def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
         return None
 
 
-def record(parent: str, change: str, workloads: list[str] | None, seeds: list[int]) -> dict:
-    """Run the benchmark on both revisions; ``None`` means every workload."""
+def record(parent: str) -> dict:
+    """Run the benchmark on ``parent`` and HEAD, every workload and seed."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     command, seconds = bench["command"], bench["run_seconds"]
-    workloads = workloads or [w["name"] for w in bench["workloads"]]
-    shas = {"parent": _git("rev-parse", parent), "change": _git("rev-parse", change)}
+    workloads = [w["name"] for w in bench["workloads"]]
+    seeds = list(SEEDS)
+    shas = {"parent": _git("rev-parse", parent), "change": _git("rev-parse", "HEAD")}
     scratch = Path(tempfile.mkdtemp(prefix="bench_record_"))
     try:
         checkouts = {side: export(sha, scratch / side) for side, sha in shas.items()}
@@ -199,10 +215,14 @@ def record(parent: str, change: str, workloads: list[str] | None, seeds: list[in
         "seconds": seconds,
         "seeds": seeds,
         "trace_seed": seeds[0],
-        "rules": {"gain": f"change wins >= {WIN_SHARE:g} of pairs and its median beats "
-                          "the parent's by more than the parent's q3 - q1",
+        "rules": {"gain": f"change wins >= {WIN_SHARE:g} of pairs, its median beats "
+                          "the parent's by more than the parent's q3 - q1, and it "
+                          "fails no more operations and loses no more runs",
                   "beyond_bound": "change median worse than the parent's by more than "
-                                  "the metric's bound in BENCHMARK.json"},
+                                  "the metric's bound in BENCHMARK.json",
+                  "unresolved": "no pairs, or the parent's q3 - q1 exceeds the "
+                                "metric's bound and not every change run beats "
+                                "every parent run"},
         "workloads": {w: {**summarize(runs[w], bench["end_to_end"]), "traced": traced[w]}
                       for w in workloads},
         "notes": list(KNOWN_FAULTS),
@@ -212,16 +232,12 @@ def record(parent: str, change: str, workloads: list[str] | None, seeds: list[in
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
-    parser.add_argument("--parent", help="parent revision (default: the change's first parent)")
-    parser.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
-    parser.add_argument("--workloads", help="comma-separated subset (default: all)")
-    parser.add_argument("--seeds", default=",".join(map(str, SEEDS)))
+    parser.add_argument("--parent", default="HEAD^",
+                        help="parent revision; the change is HEAD (default HEAD^)")
     args = parser.parse_args(argv)
     # on SIGTERM, unwind so that the exported checkouts are deleted
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    doc = record(args.parent or f"{args.change}^", args.change,
-                 args.workloads.split(",") if args.workloads else None,
-                 [int(s) for s in args.seeds.split(",")])
+    doc = record(args.parent)
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     for workload, entry in doc["workloads"].items():
@@ -229,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
             if m["pairs"]:
                 print(f"{workload} {name}: parent {m['parent']['median']:.3f} "
                       f"change {m['change']['median']:.3f} wins {m['change_wins']}/{m['pairs']}"
-                      f" gain={m['gain']} beyond_bound={m['beyond_bound']}")
+                      f" gain={m['gain']} beyond_bound={m['beyond_bound']}"
+                      f" unresolved={m['unresolved']}")
     return 0
 
 
