@@ -237,14 +237,6 @@ class _Lanes:
         masks = (T.out_masks[start], T.in_masks[start]) if T.n else (0, 0)
         self.width, self.ones, self.seed, self.close = _arc_lanes(T.n, count, *masks)
 
-    @classmethod
-    def runs(cls, n: int) -> Iterator[_Lanes]:
-        """Every tournament of order n in serial order, in runs of 2^(n-1)
-        lanes that share every arc off vertex 0."""
-        shift = n - 1
-        for high in range(1 << (n * (n - 1) // 2 - shift)):
-            yield cls(Tournament(n, high << shift), 1 << shift)
-
     def tournament(self, i: int) -> Tournament:
         return Tournament(self.T.n, self.T.bits ^ i) if i else self.T
 

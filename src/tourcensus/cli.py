@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -174,13 +175,19 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    out = io.StringIO()  # what argparse prints to stdout (--help), then the document
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the usage message
-        return int(exc.code or 0)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error, already on stderr
+            return int(exc.code)
+        args, code = None, 0  # --help, held in out
     try:
-        code, doc = args.handler(args)
-        _emit(json.dumps(doc, sort_keys=True) + "\n")
+        if args is not None:
+            code, doc = args.handler(args)
+            out.write(json.dumps(doc, sort_keys=True) + "\n")
+        _emit(out.getvalue())
     except (TourCensusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -173,36 +173,27 @@ def list_types(total: int, kind: str) -> list[SignedTuple]:
     return list(standard_tuples(total, kind))
 
 
-def _single_runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
-    """The scope's tournaments one lane each, with their indices.
+def _runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
+    """The scope's tournaments as lanes, each run with the index of lane 0.
 
-    A random scope comes in sample order.  An exhaustive one comes as
-    complement pairs: each serial b with its top bit clear, then its
-    reversal b ^ full, so a checker can count both of a pair at once.
+    A random scope, and an exhaustive one below order 3, comes one lane per
+    tournament in scope order.  From order 3 an exhaustive scope comes in
+    runs of 2^(n-1) consecutive tournaments, which share every arc off vertex
+    0 and so one closed walk from it.  The runs come in complement pairs: the
+    run with high part h (the serial bits off vertex 0, top bit clear), then
+    the run of h ^ full, whose lane i is the reversal of lane 2^(n-1)-1-i of
+    the first.
     """
     n = scope.order
-    m = n * (n - 1) // 2
-    if scope.is_random or m == 0:  # orders 0 and 1 hold one tournament
+    if scope.is_random or n < 3:
         for index, T in scope.tournaments():
             yield index, _Lanes(T)
         return
-    full = (1 << m) - 1
-    for low in range(1 << (m - 1)):
-        for bits in (low, low ^ full):
-            yield bits, _Lanes(Tournament(n, bits))
-
-
-def _lane_runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
-    """The scope's tournaments as lanes, each batch with its first index.
-
-    From order 3 an exhaustive scope comes in runs of 2^(n-1) consecutive
-    tournaments, which share every arc off vertex 0 and so one closed walk
-    from it; anything else is one lane per tournament.
-    """
-    if scope.is_random or scope.order < 3:
-        return _single_runs(scope)
-    # a run starts at the serial with vertex 0's bits clear
-    return ((lanes.T.bits, lanes) for lanes in _Lanes.runs(scope.order))
+    shift = n - 1
+    full = (1 << (n * (n - 1) // 2 - shift)) - 1
+    for h in range((full + 1) >> 1):
+        for high in (h, h ^ full):
+            yield high << shift, _Lanes(Tournament(n, high << shift), 1 << shift)
 
 
 # (key, packed lhs, packed rhs[, verdict]): sides are equal unless a verdict
@@ -211,10 +202,9 @@ _Comparison = tuple
 
 
 def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
-           describe: Callable[[object], dict],
-           runs: Callable[[Scope], Iterable[tuple[int, _Lanes]]] | None = None):
-    """Run ``compare`` on every batch of ``runs`` (by default the scope's lane
-    runs) and tally its comparisons lane by lane.
+           describe: Callable[[object], dict], single: bool = False):
+    """Run ``compare`` on every run of the scope, or with ``single`` on each
+    of its tournaments alone, and tally its comparisons lane by lane.
 
     Only a failing comparison has ``describe`` turn its key into record
     fields.  It gives one record per failing lane: the lane's tournament,
@@ -226,7 +216,11 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
     """
     checked, seen = 0, 0
     kept: list[tuple[int, int, dict]] = []  # the records of the smallest keys so far
-    for index, lanes in (runs or _lane_runs)(scope):
+    runs = _runs(scope)
+    if single:
+        runs = ((start + i, _Lanes(run.tournament(i)))
+                for start, run in runs for i in range(run.count))
+    for index, lanes in runs:
         for key, lhs, rhs, *verdict in compare(lanes):
             checked += lanes.count
             if verdict[0] if verdict else lhs == rhs:
@@ -338,7 +332,7 @@ def _check_pe_ratio(scope: Scope, _):
             f = by_class[path_canonical(alpha)]
             yield alpha, words.get(word_int(alpha), 0), 2 * f if is_symmetric(alpha) else f
 
-    return _sweep(scope, compare, _type_field, _single_runs)
+    return _sweep(scope, compare, _type_field, single=True)
 
 
 def _check_class_sizes(scope: Scope, _):
@@ -358,37 +352,41 @@ def _check_class_sizes(scope: Scope, _):
     def describe(key) -> dict:
         return {"type": format_type(key[0]), "cycle_type": format_type(key[1])}
 
-    return _sweep(scope, compare, describe, _single_runs)
+    return _sweep(scope, compare, describe, single=True)
 
 
 def _check_eqsym(scope: Scope, _):
     """The two generated cycle types coincide exactly for symmetric path types
     (even block count); with an odd count the two always differ, and an odd
-    count is never symmetric.  At the set level, distinct types own disjoint
-    cycle sets in every tournament."""
+    count is never symmetric.  That part is type arithmetic, checked once per
+    scope.  At the set level, distinct types own disjoint cycle sets in every
+    tournament."""
     _need_oracle(scope)
     n = scope.order
     if n < 3:
         return 0, [], None
-
-    def compare(lanes: _Lanes) -> Iterator[_Comparison]:
-        sets = oracle_cycle_sets(lanes.T)
-        for alpha in standard_tuples(n - 1, "path"):
-            first, second, coincide = generated_cycle_types(alpha)
-            key = alpha, first, second
-            yield key, coincide, is_symmetric(alpha)
-            if len(alpha) % 2 == 0:
-                a = sets.get(first, frozenset())
-                b = sets.get(second, frozenset())
-                # coinciding types must own the same cycles, distinct ones none in common
-                yield key, len(a), len(b), (a == b) if coincide else not (a & b)
+    types = [(alpha, *generated_cycle_types(alpha)) for alpha in standard_tuples(n - 1, "path")]
 
     def describe(key) -> dict:
         alpha, first, second = key
         return {"type": format_type(alpha), "first": format_type(first),
                 "second": format_type(second)}
 
-    return _sweep(scope, compare, describe, _single_runs)
+    # the type check: its records carry no tournament and come first
+    violations = [{**describe(key), "lhs": coincide, "rhs": is_symmetric(key[0])}
+                  for *key, coincide in types if coincide != is_symmetric(key[0])]
+
+    def compare(lanes: _Lanes) -> Iterator[_Comparison]:
+        sets = oracle_cycle_sets(lanes.T)
+        for alpha, first, second, coincide in types:
+            if len(alpha) % 2 == 0:
+                a = sets.get(first, frozenset())
+                b = sets.get(second, frozenset())
+                # coinciding types must own the same cycles, distinct ones none in common
+                yield (alpha, first, second), len(a), len(b), (a == b) if coincide else not (a & b)
+
+    checked, records, _ = _sweep(scope, compare, describe, single=True)
+    return len(types) + checked, (violations + records)[:_VIOLATION_CAP], None
 
 
 def _check_count_formula(scope: Scope, _):
@@ -424,7 +422,7 @@ def _check_count_formula(scope: Scope, _):
                        * period_info(other).t)
             yield beta, lhs, rhs
 
-    return _sweep(scope, compare, _type_field, _single_runs)
+    return _sweep(scope, compare, _type_field, single=True)
 
 
 def _check_t_one(scope: Scope, _):
@@ -456,26 +454,22 @@ def _check_h_invariance(scope: Scope, _):
     else:
         patterns = repeat(all_digraph_specs(n))
 
-    # an exhaustive scope comes as complement pairs: the first tournament of
-    # a pair counts both hosts, and its partner, which comes next, takes the
-    # swapped sides
-    partner = None
+    # an exhaustive scope comes in complement pairs of runs: a tournament of
+    # the first run counts both hosts and keeps the swapped sides for its
+    # reversal in the partner run, which comes next
+    swapped: dict[int, tuple] = {}
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
-        nonlocal partner
         specs = next(patterns)
-        if partner is not None and partner[0] == lanes.T.bits:
-            _, forward, reverse = partner
-            partner = None
-        else:
+        sides = swapped.pop(lanes.T.bits, None)
+        if sides is None:
             rev = lanes.T.complement()
-            forward = CopyCounter(lanes.T).counts(specs)
-            reverse = CopyCounter(rev).counts(specs)
+            sides = CopyCounter(lanes.T).counts(specs), CopyCounter(rev).counts(specs)
             if not scope.is_random:  # a sample's partner draws another pattern
-                partner = rev.bits, reverse, forward
-        return zip(specs, forward, reverse)
+                swapped[rev.bits] = sides[::-1]
+        return zip(specs, *sides)
 
-    return _sweep(scope, compare, lambda spec: {"digraph": spec.render()}, _single_runs)
+    return _sweep(scope, compare, lambda spec: {"digraph": spec.render()}, single=True)
 
 
 def _check_complement_bridge(scope: Scope, _):
@@ -511,7 +505,7 @@ def _check_szele_floor(scope: Scope, _):
     floor = -(-factorial(n) // (1 << (n - 1)))
     directed = (1 << (n - 1)) - 1  # the path word of n-1 forward arcs
     checked = best = 0
-    for _, lanes in _lane_runs(scope):
+    for _, lanes in _runs(scope):
         counts = _spanning_path_counts(lanes.T, (directed,), lanes)[directed]
         best = max(best, *lanes.unpack(counts))
         checked += lanes.count

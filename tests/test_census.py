@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from tourcensus import (
     BadSubsetError,
     all_tournaments,
+    Scope,
     ScopeTooLargeError,
     TooShortError,
     Tournament,
@@ -45,6 +46,7 @@ from tourcensus import (
 from tourcensus.census import (
     _Lanes, _advance, _f_from_words, _length_census, _spanning_path_counts, _word_dp,
 )
+from tourcensus.verifier import _runs
 
 TT3 = Tournament.parse("3:111")
 C3 = Tournament.parse("3:101")
@@ -339,8 +341,9 @@ def test_lane_walk_matches_single_tournaments():
     # 64 lanes)
     runs = []
     for n in (3, 4, 5):
-        batch = [(lanes, _members(lanes)) for lanes in _Lanes.runs(n)]
-        assert [T for _, members in batch for T in members] == list(all_tournaments(n))
+        batch = [(lanes, _members(lanes)) for _, lanes in _runs(Scope("exhaustive", n))]
+        serials = sorted(T.bits for _, members in batch for T in members)
+        assert serials == [T.bits for T in all_tournaments(n)]
         runs += batch
     for n, high in ((6, 0), (6, 677), (7, 21_845)):
         lanes = _Lanes(Tournament(n, high << (n - 1)), 1 << (n - 1))

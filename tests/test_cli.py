@@ -313,10 +313,20 @@ class _FullStream(io.StringIO):
             raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("fail_on", ["write", "flush"])
-def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch, fail_on):
+_UNWRITTEN = {  # argv: a document, and the help that argparse prints to stdout
+    "": ("gen", "--transitive", "--order", "3"),
+    "help": ("--help",),
+    "verify-help": ("verify", "--help"),
+}
+
+
+@pytest.mark.parametrize("fail_on, argv", [
+    pytest.param(fail_on, argv, id="-".join(filter(None, (name, fail_on))))
+    for name, argv in _UNWRITTEN.items() for fail_on in ("write", "flush")
+])
+def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch, fail_on, argv):
     monkeypatch.setattr(sys, "stdout", _FullStream(fail_on))
-    code = main(["gen", "--transitive", "--order", "3"])
+    code = main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: [Errno 28] No space left on device\n"
@@ -327,15 +337,16 @@ def test_stdout_to_full_device_exits_two_without_traceback():
     env = dict(os.environ)
     src = str(Path(tourcensus.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "tourcensus", "gen", "--transitive", "--order", "3"],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-        )
-    # one error line: no traceback, and no second failure when the
-    # interpreter flushes stdout at exit (which would exit 120)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    for argv in _UNWRITTEN.values():
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tourcensus", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        # one error line: no traceback, and no second failure when the
+        # interpreter flushes stdout at exit (which would exit 120)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("argv, flag", [

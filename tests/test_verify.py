@@ -161,8 +161,7 @@ def test_random_mode_beyond_exhaustive_cap():
 # --- violation reporting (artificial checker, the real ones cannot fail) ---------
 
 def _always_fails(scope, _):
-    return verify_mod._sweep(scope, lambda lanes: [(None, 0, 1)], lambda _: {},
-                             verify_mod._single_runs)
+    return verify_mod._sweep(scope, lambda lanes: [(None, 0, 1)], lambda _: {}, single=True)
 
 
 def test_violations_capped_and_tagged(monkeypatch):
@@ -225,12 +224,12 @@ def _bump_census(result, i, lanes):
 def test_batched_violations_match_single_tournaments(monkeypatch, pid, source, bump):
     scope = Scope(mode="exhaustive", order=6)
     monkeypatch.setattr(verify_mod, source, _corrupt(source, bump))
-    runs = verify_mod._lane_runs
-    monkeypatch.setattr(verify_mod, "_lane_runs", lambda scope: (
+    runs = verify_mod._runs
+    monkeypatch.setattr(verify_mod, "_runs", lambda scope: (
         (i, lanes) for i, lanes in runs(scope) if i >> 5 in _HIGHS))
     batched = verify(pid, scope)
     # the same checker fed one tournament per batch, in scope order
-    monkeypatch.setattr(verify_mod, "_lane_runs", lambda scope: (
+    monkeypatch.setattr(verify_mod, "_runs", lambda scope: (
         (i, _Lanes(T)) for i, T in scope.tournaments() if i >> 5 in _HIGHS))
     single = verify(pid, scope)
     assert batched.checked == single.checked and single.checked % 96 == 0
@@ -252,7 +251,7 @@ _SMALL_CHECKED = {
     "enumeration-partition": (0, 0, 2, 8),
     "pe-ratio": (0, 0, 4, 32),
     "class-sizes": (0, 0, 0, 20),
-    "eqsym": (0, 0, 0, 48),
+    "eqsym": (0, 0, 0, 20),
     "count-formula": (0, 0, 0, 32),
     "t-one": (0, 0, 0, 2),
     "h-invariance": (0, 1, 6, 80),
@@ -387,7 +386,7 @@ def _eqsym_types_fault(monkeypatch, scope, faulty):
         return gen._replace(coincide=True) if len(alpha) % 2 else gen
     monkeypatch.setattr(verify_mod, "generated_cycle_types", generated)
 
-    def records_of(index, T):
+    def records_of():  # a type-only check: once per scope, not per tournament
         for alpha in standard_tuples(scope.order - 1, "path"):
             if len(alpha) % 2:
                 first, second, _ = real(alpha)
@@ -463,6 +462,12 @@ def test_oracle_and_copy_violation_records(monkeypatch, fault, mode):
     pid, make_fault, fields = _FAULTS[fault]
     records_of = make_fault(monkeypatch, scope, _faulty_bits(scope))
     report = verify(pid, scope)
+    if fault == "eqsym-types":
+        # one record per odd type, with no tournament or sample
+        assert report.violations == list(records_of())[:10]
+        # the check compares booleans and reports them as JSON booleans
+        assert '"lhs": true, "rhs": false' in json.dumps(report.violations[0])
+        return
     assert len(report.violations) == 10  # capped
     keys = {"tournament", "lhs", "rhs"} | fields | ({"sample"} if scope.is_random else set())
     assert all(set(v) == keys for v in report.violations)
@@ -471,29 +476,42 @@ def test_oracle_and_copy_violation_records(monkeypatch, fault, mode):
     order = [v["sample"] if scope.is_random else Tournament.parse(v["tournament"]).bits
              for v in report.violations]
     assert order == sorted(order)
-    if fault == "eqsym-types":
-        # the first check compares booleans and reports them as JSON booleans
-        assert '"lhs": true, "rhs": false' in json.dumps(report.violations[0])
 
 
-# --- exhaustive single-lane sweeps run as complement pairs ---------------------------
+def test_eqsym_type_records_come_before_tournament_records(monkeypatch):
+    scope = _SCOPES["exhaustive"]
+    types = list(_eqsym_types_fault(monkeypatch, scope, set())())
+    sets = _eqsym_sets_fault(monkeypatch, scope, _faulty_bits(scope))
+    report = verify("eqsym", scope)
+    assert len(types) == 8 and not report.passed
+    assert report.violations == (types + _expected(scope, sets))[:10]
+
+
+# --- every sweep visits its scope through _runs, in complement pairs ----------------
 
 @pytest.mark.parametrize("order", range(7))
-def test_single_runs_pair_each_tournament_with_its_reversal(order):
+def test_runs_pair_each_run_with_its_reversal(order):
     m = order * (order - 1) // 2
-    full = (1 << m) - 1
-    runs = list(verify_mod._single_runs(Scope(mode="exhaustive", order=order)))
-    indices = [index for index, _ in runs]
-    assert sorted(indices) == list(range(1 << m))  # every serial exactly once
-    assert all(lanes.count == 1 and lanes.T.bits == index for index, lanes in runs)
-    if m:
-        pairs = list(zip(indices[::2], indices[1::2]))
-        assert all(b >> (m - 1) == 0 and c == b ^ full for b, c in pairs)
+    runs = list(verify_mod._runs(Scope(mode="exhaustive", order=order)))
+    lanes = [(index + i, run.tournament(i)) for index, run in runs for i in range(run.count)]
+    assert sorted(index for index, _ in lanes) == list(range(1 << m))  # every serial once
+    assert all(T.bits == index for index, T in lanes)
+    if order < 3:  # one lane per tournament, in scope order
+        assert [(index, run.count) for index, run in runs] == [(b, 1) for b in range(1 << m)]
+        return
+    width = 1 << (order - 1)
+    assert all(run.count == width and index == run.T.bits for index, run in runs)
+    assert len(runs) % 2 == 0
+    for (index, first), (_, second) in zip(runs[::2], runs[1::2]):
+        assert index >> (m - 1) == 0  # the first run's high part has its top bit clear
+        for i in range(width):
+            assert second.tournament(width - 1 - i) == first.tournament(i).complement()
 
 
-def test_single_runs_keep_random_sample_order():
+def test_runs_keep_random_sample_order():
     scope = Scope(mode="random", order=6, samples=24, seed=5)
-    runs = [(index, lanes.T) for index, lanes in verify_mod._single_runs(scope)]
+    runs = [(index, lanes.T) for index, lanes in verify_mod._runs(scope)]
+    assert all(lanes.count == 1 for _, lanes in verify_mod._runs(scope))
     assert runs == list(scope.tournaments())
 
 
@@ -515,6 +533,20 @@ def test_h_invariance_counts_each_host_once(monkeypatch, order):
     assert report.passed
     m = order * (order - 1) // 2
     assert sorted(calls) == list(range(1 << m))
+
+
+def test_h_invariance_counts_the_first_run_of_each_pair(monkeypatch):
+    scope = Scope(mode="exhaustive", order=5)
+    firsts = list(verify_mod._runs(scope))[::2]
+    calls = _count_counts_calls(monkeypatch)
+    assert verify("h-invariance", scope).passed
+    # each tournament of a first run, in _runs order, and then its reversal
+    expected = []
+    for _, run in firsts:
+        for i in range(run.count):
+            T = run.tournament(i)
+            expected += [T.bits, T.complement().bits]
+    assert calls == expected
 
 
 def test_h_invariance_random_scope_counts_both_hosts_per_sample(monkeypatch):
@@ -543,14 +575,16 @@ def _two_checks(lanes):
     Scope(mode="exhaustive", order=5),
     Scope(mode="random", order=6, samples=60, seed=2),
 ], ids=["exhaustive", "random"])
-@pytest.mark.parametrize("runs", ["_lane_runs", "_single_runs"])
-def test_sweep_reports_in_scope_order_whatever_the_run_order(scope, runs):
-    forward = list(getattr(verify_mod, runs)(scope))
-    in_serial = sorted(forward, key=lambda run: run[0])
+@pytest.mark.parametrize("single", [False, True])
+def test_sweep_reports_in_scope_order_whatever_the_run_order(monkeypatch, scope, single):
     describe = lambda key: {"check": key}  # noqa: E731
-    serial = verify_mod._sweep(scope, _two_checks, describe, lambda _: in_serial)
-    backward = verify_mod._sweep(scope, _two_checks, describe, lambda _: in_serial[::-1])
-    assert backward == serial
+    paired = verify_mod._sweep(scope, _two_checks, describe, single)
+    in_serial = sorted(verify_mod._runs(scope), key=lambda run: run[0])
+    monkeypatch.setattr(verify_mod, "_runs", lambda _: in_serial)
+    serial = verify_mod._sweep(scope, _two_checks, describe, single)
+    monkeypatch.setattr(verify_mod, "_runs", lambda _: in_serial[::-1])
+    backward = verify_mod._sweep(scope, _two_checks, describe, single)
+    assert backward == serial == paired
     # the list a loop over single tournaments in scope order gives
     expected = []
     for index, T in scope.tournaments():
