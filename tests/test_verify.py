@@ -276,6 +276,37 @@ def test_small_order_contract(pid, order):
     assert report.to_json_dict().get("vacuous", False) == (expected == 0)
 
 
+# checked at random orders 0..3 (3 samples, seed 1), or the error raised
+_SMALL_RANDOM_CHECKED = {
+    "path-identity": (0, 0, 3, 6),
+    "cycle-identity": (0, 0, 0, 9),
+    "enumeration-partition": (0, 0, 3, 3),
+    "pe-ratio": (0, 0, 6, 12),
+    "class-sizes": (0, 0, 0, 9),
+    "eqsym": (0, 0, 0, 10),
+    "count-formula": (0, 0, 0, 12),
+    "t-one": (0, 0, 0, 2),
+    "h-invariance": (0, 3, 3, 3),
+    "complement-bridge": (0, 0, 6, 18),
+    "szele-floor": (ScopeTooLargeError,) * 4,
+    "rosenfeld": (TooShortError, TooShortError, 3, 3),
+}
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("pid", PROPERTY_IDS)
+def test_small_order_contract_random(pid, order):
+    expected = _SMALL_RANDOM_CHECKED[pid][order]
+    scope = Scope(mode="random", order=order, samples=3, seed=1)
+    if not isinstance(expected, int):
+        with pytest.raises(expected):
+            verify(pid, scope)
+        return
+    report = verify(pid, scope)
+    assert report.passed and report.checked == expected
+    assert report.vacuous == (expected == 0)
+
+
 # --- violation records of the oracle and copy checkers ------------------------------
 
 # the sample indices to corrupt: 12 of them, so that the cap of 10 cuts
