@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .census import (
     ORACLE_MAX_ORDER,
@@ -178,11 +178,11 @@ def _runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
 
     A random scope, and an exhaustive one below order 3, comes one lane per
     tournament in scope order.  From order 3 an exhaustive scope comes in
-    runs of 2^(n-1) consecutive tournaments, which share every arc off vertex
-    0 and so one closed walk from it.  The runs come in complement pairs: the
-    run with high part h (the serial bits off vertex 0, top bit clear), then
-    the run of h ^ full, whose lane i is the reversal of lane 2^(n-1)-1-i of
-    the first.
+    runs of 2^(n-1) tournaments, which share every arc off vertex 0 and so
+    one closed walk from it.  The runs come in complement pairs: the run with
+    high part h (the serial bits off vertex 0, top bit clear) and vertex 0's
+    bits clear, then its reversal, whose lane i is the reversal of lane i of
+    the first.  Lane i of a run has scope index ``index ^ i``.
     """
     n = scope.order
     if scope.is_random or n < 3:
@@ -192,8 +192,9 @@ def _runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
     shift = n - 1
     full = (1 << (n * (n - 1) // 2 - shift)) - 1
     for h in range((full + 1) >> 1):
-        for high in (h, h ^ full):
-            yield high << shift, _Lanes(Tournament(n, high << shift), 1 << shift)
+        run = _Lanes(Tournament(n, h << shift), 1 << shift)
+        for lanes in (run, _Lanes(run.T.complement(), run.count)):
+            yield lanes.T.bits, lanes
 
 
 # (key, packed lhs, packed rhs[, verdict]): sides are equal unless a verdict
@@ -218,7 +219,7 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
     kept: list[tuple[int, int, dict]] = []  # the records of the smallest keys so far
     runs = _runs(scope)
     if single:
-        runs = ((start + i, _Lanes(run.tournament(i)))
+        runs = ((start ^ i, _Lanes(run.tournament(i)))
                 for start, run in runs for i in range(run.count))
     for index, lanes in runs:
         for key, lhs, rhs, *verdict in compare(lanes):
@@ -235,9 +236,9 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
                 record = {"tournament": lanes.tournament(i).serialize(), **fields,
                           "lhs": a, "rhs": b}
                 if scope.is_random:
-                    record["sample"] = index + i
+                    record["sample"] = index ^ i
                 seen += 1
-                kept.append((index + i, seen, record))
+                kept.append((index ^ i, seen, record))
                 if len(kept) > _VIOLATION_CAP:
                     kept.remove(max(kept))
     return checked, [record for *_, record in sorted(kept)], None
@@ -247,12 +248,23 @@ def _type_field(alpha: SignedTuple) -> dict:
     return {"type": format_type(alpha)}
 
 
-def _need_oracle(scope: Scope) -> None:
-    if scope.order > ORACLE_MAX_ORDER:
-        raise ScopeTooLargeError(
-            f"this property cross-checks against the brute-force oracle, "
-            f"capped at order {ORACLE_MAX_ORDER}"
-        )
+def _both_ways(scope: Scope) -> Callable:
+    """``both(lanes, count)``: ``count`` of the lanes and of their reversal.
+    On an exhaustive scope the first run of a complement pair keeps the
+    swapped pair, keyed by the reversal's serial, for its partner, which
+    comes next."""
+    swapped: dict[int, tuple] = {}
+
+    def both(lanes: _Lanes, count: Callable[[_Lanes], object]) -> tuple:
+        sides = swapped.pop(lanes.T.bits, None)
+        if sides is None:
+            rev = _Lanes(lanes.T.complement(), lanes.count)
+            sides = count(lanes), count(rev)
+            if not scope.is_random:  # a sample's reversal is not in the scope
+                swapped[rev.T.bits] = sides[::-1]
+        return sides
+
+    return both
 
 
 def _arc_sums(kind: str, order: int, max_arc_sum: int | None) -> tuple[int, ...]:
@@ -307,8 +319,6 @@ def _check_cycle_identity(scope: Scope, max_arc_sum: int | None):
 def _check_enumeration_partition(scope: Scope, _):
     """Every permutation lands in exactly one type: word counts sum to n!."""
     n = scope.order
-    if n < 2:
-        return 0, [], None
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         total = sum(enumeration_word_counts(lanes.T, n, lanes).values())
@@ -320,10 +330,7 @@ def _check_enumeration_partition(scope: Scope, _):
 def _check_pe_ratio(scope: Scope, _):
     """DP enumeration counts against oracle path counts: e = 2f when the type
     is symmetric (a path then has a reading from each end), e = f otherwise."""
-    _need_oracle(scope)
     n = scope.order
-    if n < 2:
-        return 0, [], None
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         words = enumeration_word_counts(lanes.T, n)
@@ -338,10 +345,7 @@ def _check_pe_ratio(scope: Scope, _):
 def _check_class_sizes(scope: Scope, _):
     """Paths of one type grouped by generated cycle: each group has exactly
     delta * t members (t generic, 2t direction-symmetric, n circuit)."""
-    _need_oracle(scope)  # path_classes cuts the oracle's cycles
     n = scope.order
-    if n < 3:
-        return 0, [], None
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         for alpha in path_type_classes(n - 1):
@@ -361,10 +365,7 @@ def _check_eqsym(scope: Scope, _):
     count is never symmetric.  That part is type arithmetic, checked once per
     scope.  At the set level, distinct types own disjoint cycle sets in every
     tournament."""
-    _need_oracle(scope)
     n = scope.order
-    if n < 3:
-        return 0, [], None
     types = [(alpha, *generated_cycle_types(alpha)) for alpha in standard_tuples(n - 1, "path")]
 
     def describe(key) -> dict:
@@ -398,10 +399,7 @@ def _check_count_formula(scope: Scope, _):
     the two closures beta and beta with both end blocks shrunk.  f comes from
     the DP word table, g from the permutation oracle.
     """
-    _need_oracle(scope)
     n = scope.order
-    if n < 3:
-        return 0, [], None
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         gvals = oracle_census(lanes.T).cycle_counts
@@ -429,8 +427,6 @@ def _check_t_one(scope: Scope, _):
     """Symmetric path types close into cycles with trivial repetition (t = 1).
 
     Pure type arithmetic: the scope contributes only the arc-sum bound."""
-    if scope.order < 2:
-        return 0, [], None
     checked, violations = 0, []
     for alpha in symmetric_tuples(scope.order - 1):
         first, _, _ = generated_cycle_types(alpha)
@@ -445,8 +441,6 @@ def _check_t_one(scope: Scope, _):
 def _check_h_invariance(scope: Scope, _):
     """Copy counts of every bounded-degree pattern agree in T and reversed T."""
     n = scope.order
-    if n < 1:
-        return 0, [], None
     if scope.is_random:  # one pattern per sample, from its own stream
         stream = seed_stream(scope.seed ^ _SPEC_STREAM_SALT)
         patterns = ([random_digraph_spec(1 + next(stream) % n, next(stream))]
@@ -454,20 +448,11 @@ def _check_h_invariance(scope: Scope, _):
     else:
         patterns = repeat(all_digraph_specs(n))
 
-    # an exhaustive scope comes in complement pairs of runs: a tournament of
-    # the first run counts both hosts and keeps the swapped sides for its
-    # reversal in the partner run, which comes next
-    swapped: dict[int, tuple] = {}
+    both = _both_ways(scope)
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         specs = next(patterns)
-        sides = swapped.pop(lanes.T.bits, None)
-        if sides is None:
-            rev = lanes.T.complement()
-            sides = CopyCounter(lanes.T).counts(specs), CopyCounter(rev).counts(specs)
-            if not scope.is_random:  # a sample's partner draws another pattern
-                swapped[rev.bits] = sides[::-1]
-        return zip(specs, *sides)
+        return zip(specs, *both(lanes, lambda ln: CopyCounter(ln.T).counts(specs)))
 
     return _sweep(scope, compare, lambda spec: {"digraph": spec.render()}, single=True)
 
@@ -475,18 +460,16 @@ def _check_h_invariance(scope: Scope, _):
 def _check_complement_bridge(scope: Scope, _):
     """Arc reversal preserves every per-type count, paths and cycles alike."""
     n = scope.order
-    if n < 2:
-        return 0, [], None
+    both = _both_ways(scope)
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         # each side is swept on its own, so neither count is derived from the
-        # other; lane i of the reversed lanes is the reversal of lane i
-        rev = _Lanes(lanes.T.complement(), lanes.count)
-        words, cycles = _length_census(lanes.T, n, lanes)
-        words_rev, cycles_rev = _length_census(rev.T, n, rev)
+        # other; both share the lanes' layout
+        (words, cycles), (words_rev, cycles_rev) = both(
+            lanes, lambda ln: _length_census(ln.T, n, ln))
         for alpha in standard_tuples(n - 1, "path"):
             yield (alpha, _f_from_words(words, alpha, lanes),
-                   _f_from_words(words_rev, alpha, rev))
+                   _f_from_words(words_rev, alpha, lanes))
         if n >= 3:
             for beta in cycle_type_classes(n):
                 yield beta, cycles[beta], cycles_rev[beta]
@@ -534,34 +517,46 @@ def _check_rosenfeld(scope: Scope, _):
     return checked, violations, {"alpha": format_type(alpha), "trivial": is_symmetric(alpha)}
 
 
-_CHECKERS: dict[str, Callable] = {
-    "path-identity": _check_path_identity,
-    "cycle-identity": _check_cycle_identity,
-    "enumeration-partition": _check_enumeration_partition,
-    "pe-ratio": _check_pe_ratio,
-    "class-sizes": _check_class_sizes,
-    "eqsym": _check_eqsym,
-    "count-formula": _check_count_formula,
-    "t-one": _check_t_one,
-    "h-invariance": _check_h_invariance,
-    "complement-bridge": _check_complement_bridge,
-    "szele-floor": _check_szele_floor,
-    "rosenfeld": _check_rosenfeld,
+class _Property(NamedTuple):
+    """A property's checker and the rules ``verify`` applies before it runs."""
+    check: Callable
+    least_order: int = 0  # below it there is nothing to check: a vacuous report
+    oracle: bool = False  # cross-checked against the oracle, so capped at its order
+    arc_sums: bool = False  # takes an arc-sum bound
+
+
+_PROPERTIES: dict[str, _Property] = {
+    "path-identity": _Property(_check_path_identity, arc_sums=True),
+    "cycle-identity": _Property(_check_cycle_identity, arc_sums=True),
+    "enumeration-partition": _Property(_check_enumeration_partition, 2),
+    "pe-ratio": _Property(_check_pe_ratio, 2, oracle=True),
+    "class-sizes": _Property(_check_class_sizes, 3, oracle=True),
+    "eqsym": _Property(_check_eqsym, 3, oracle=True),
+    "count-formula": _Property(_check_count_formula, 3, oracle=True),
+    "t-one": _Property(_check_t_one),
+    "h-invariance": _Property(_check_h_invariance, 1),
+    "complement-bridge": _Property(_check_complement_bridge, 2),
+    "szele-floor": _Property(_check_szele_floor),
+    "rosenfeld": _Property(_check_rosenfeld),
 }
 
-PROPERTY_IDS = tuple(_CHECKERS)
-
-_ARC_SUM_PROPERTIES = ("path-identity", "cycle-identity")
+PROPERTY_IDS = tuple(_PROPERTIES)
 
 
 def verify(property_id: str, scope: Scope, *, max_arc_sum: int | None = None) -> VerifyReport:
-    checker = _CHECKERS.get(property_id)
-    if checker is None:
+    prop = _PROPERTIES.get(property_id)
+    if prop is None:
         raise UnknownPropertyError(
             f"unknown property {property_id!r}; known: {', '.join(PROPERTY_IDS)}"
         )
-    if max_arc_sum is not None and property_id not in _ARC_SUM_PROPERTIES:
-        raise TourCensusError(
-            f"an arc-sum bound only applies to {' and '.join(_ARC_SUM_PROPERTIES)}"
+    if max_arc_sum is not None and not prop.arc_sums:
+        bounded = (pid for pid, p in _PROPERTIES.items() if p.arc_sums)
+        raise TourCensusError(f"an arc-sum bound only applies to {' and '.join(bounded)}")
+    if prop.oracle and scope.order > ORACLE_MAX_ORDER:
+        raise ScopeTooLargeError(
+            f"this property cross-checks against the brute-force oracle, "
+            f"capped at order {ORACLE_MAX_ORDER}"
         )
-    return VerifyReport(property_id, scope, *checker(scope, max_arc_sum))
+    if scope.order < prop.least_order:
+        return VerifyReport(property_id, scope, 0, [])
+    return VerifyReport(property_id, scope, *prop.check(scope, max_arc_sum))

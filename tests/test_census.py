@@ -324,7 +324,7 @@ def test_cycle_census_from_vertex_zero_matches_oracle():
 
 def _members(lanes):
     """The tournaments of a run's lanes, built from their serials."""
-    return [Tournament(lanes.T.n, lanes.T.bits | x) for x in range(lanes.count)]
+    return [Tournament(lanes.T.n, lanes.T.bits ^ x) for x in range(lanes.count)]
 
 
 def _lane(lanes, words, cycles, x):

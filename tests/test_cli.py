@@ -145,7 +145,8 @@ def test_verify_exit_one_on_violation(capsys, monkeypatch):
         vio = [{"tournament": "3:111", "lhs": 0, "rhs": 1}]
         return 1, vio, None
 
-    monkeypatch.setitem(verify_mod._CHECKERS, "path-identity", broken)
+    monkeypatch.setitem(verify_mod._PROPERTIES, "path-identity",
+                        verify_mod._Property(broken))
     code, doc = run_json(capsys, "verify", "--property", "path-identity",
                          "--exhaustive", "--order", "3")
     assert code == 1

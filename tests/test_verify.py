@@ -165,7 +165,8 @@ def _always_fails(scope, _):
 
 
 def test_violations_capped_and_tagged(monkeypatch):
-    monkeypatch.setitem(verify_mod._CHECKERS, "always-fails", _always_fails)
+    monkeypatch.setitem(verify_mod._PROPERTIES, "always-fails",
+                        verify_mod._Property(_always_fails))
     report = verify("always-fails", Scope(mode="exhaustive", order=4))
     assert not report.passed
     assert report.checked == 64
@@ -524,7 +525,7 @@ def test_eqsym_type_records_come_before_tournament_records(monkeypatch):
 def test_runs_pair_each_run_with_its_reversal(order):
     m = order * (order - 1) // 2
     runs = list(verify_mod._runs(Scope(mode="exhaustive", order=order)))
-    lanes = [(index + i, run.tournament(i)) for index, run in runs for i in range(run.count)]
+    lanes = [(index ^ i, run.tournament(i)) for index, run in runs for i in range(run.count)]
     assert sorted(index for index, _ in lanes) == list(range(1 << m))  # every serial once
     assert all(T.bits == index for index, T in lanes)
     if order < 3:  # one lane per tournament, in scope order
@@ -535,8 +536,8 @@ def test_runs_pair_each_run_with_its_reversal(order):
     assert len(runs) % 2 == 0
     for (index, first), (_, second) in zip(runs[::2], runs[1::2]):
         assert index >> (m - 1) == 0  # the first run's high part has its top bit clear
-        for i in range(width):
-            assert second.tournament(width - 1 - i) == first.tournament(i).complement()
+        for i in range(width):  # lane for lane
+            assert second.tournament(i) == first.tournament(i).complement()
 
 
 def test_runs_keep_random_sample_order():
@@ -578,6 +579,21 @@ def test_h_invariance_counts_the_first_run_of_each_pair(monkeypatch):
             T = run.tournament(i)
             expected += [T.bits, T.complement().bits]
     assert calls == expected
+
+
+def test_complement_bridge_walks_each_run_once(monkeypatch):
+    calls = []
+    real = verify_mod._length_census
+
+    def counting(T, *args):
+        calls.append(T.bits)
+        return real(T, *args)
+    monkeypatch.setattr(verify_mod, "_length_census", counting)
+    scope = Scope(mode="exhaustive", order=5)
+    assert verify("complement-bridge", scope).passed
+    runs = [index for index, _ in verify_mod._runs(scope)]
+    assert len(runs) == 64
+    assert sorted(calls) == sorted(runs)
 
 
 def test_h_invariance_random_scope_counts_both_hosts_per_sample(monkeypatch):
