@@ -7,140 +7,24 @@ such block tuples, counts the paths and cycles of each type exactly (bitmask
 dynamic programming, cross-checked by a permutation oracle), counts copies of
 small pattern digraphs, and sweeps the counting identities that relate all of
 these over exhaustive or seeded-random tournament scopes.
+
+Each module's ``__all__`` is its public interface; the package republishes
+them all.  The command line (``tourcensus.cli``) is not imported here.
 """
 
-from .census import (
-    CENSUS_MAX_ORDER,
-    ORACLE_MAX_ORDER,
-    CensusReport,
-    ClassPartition,
-    PathClass,
-    census,
-    classify_cycle,
-    classify_enumeration,
-    clones,
-    count_cycles,
-    count_enumerations,
-    count_paths,
-    cycle_type_classes,
-    enumeration_word_counts,
-    expand_signs,
-    oracle_census,
-    oracle_cycle_sets,
-    path_classes,
-    path_type_classes,
-    word_int,
-)
-from .digraphs import (
-    CopyCounter,
-    Digraph2Spec,
-    all_digraph_specs,
-    check_complement_invariance,
-    count_copies,
-    random_digraph_spec,
-    star_counterexample,
-)
-from .errors import (
-    BadSubsetError,
-    DivisibilityViolationError,
-    EmptyTypeError,
-    IllFormedError,
-    ParityViolationError,
-    ParseError,
-    ScopeTooLargeError,
-    TooShortError,
-    TourCensusError,
-    TypeTooLongError,
-    UnknownPropertyError,
-)
-from .tournaments import (
-    MAX_ORDER,
-    Tournament,
-    all_tournaments,
-    load_tournaments,
-    pair_index,
-    random_tournament,
-    random_tournaments,
-    seed_stream,
-    transitive,
-)
-from .type_algebra import (
-    GeneratedCycles,
-    PeriodInfo,
-    SignedTuple,
-    arc_sum,
-    check_standard_cycle,
-    check_standard_path,
-    cycle_canonical,
-    cycle_orbit,
-    cycle_type_symmetric,
-    delta,
-    format_type,
-    generated_cycle_types,
-    is_standard_cycle,
-    is_standard_path,
-    is_symmetric,
-    neg_reverse,
-    negate,
-    normalize_cycle,
-    normalize_path,
-    parse_type,
-    path_canonical,
-    period_info,
-    standard_tuples,
-    star_one,
-    symmetric_tuples,
-)
-from .verifier import (
-    EXHAUSTIVE_HARD_MAX,
-    EXHAUSTIVE_MAX_ORDER,
-    PROPERTY_IDS,
-    RANDOM_MAX_ORDER,
-    RANDOM_MAX_SAMPLES,
-    Scope,
-    VerifyReport,
-    list_types,
-    verify,
-)
+from . import census, digraphs, errors, tournaments, type_algebra, verifier
+
+_PUBLISHED = (type_algebra, tournaments, census, digraphs, errors, verifier)
+
+# ``census`` the function replaces ``census`` the module from here on
+from .type_algebra import *  # noqa: E402,F401,F403
+from .tournaments import *  # noqa: E402,F401,F403
+from .census import *  # noqa: E402,F401,F403
+from .digraphs import *  # noqa: E402,F401,F403
+from .errors import *  # noqa: E402,F401,F403
+from .verifier import *  # noqa: E402,F401,F403
 
 __version__ = "0.1.0"
 
-
-def rosenfeld_check(scope: Scope) -> VerifyReport:
-    """The alternating-path special case of the path identity: the
-    ``rosenfeld`` sweep over ``scope``."""
-    return verify("rosenfeld", scope)
-
-
-__all__ = [
-    "__version__",
-    # type algebra
-    "SignedTuple", "arc_sum", "negate", "neg_reverse", "is_symmetric",
-    "is_standard_path", "is_standard_cycle", "check_standard_path",
-    "check_standard_cycle", "normalize_path", "normalize_cycle",
-    "path_canonical", "cycle_orbit", "cycle_canonical", "cycle_type_symmetric",
-    "PeriodInfo", "period_info", "delta", "star_one", "GeneratedCycles",
-    "generated_cycle_types", "standard_tuples", "symmetric_tuples",
-    "format_type", "parse_type",
-    # tournaments
-    "MAX_ORDER", "Tournament", "pair_index", "load_tournaments", "transitive",
-    "all_tournaments", "random_tournament", "random_tournaments", "seed_stream",
-    # counting
-    "ORACLE_MAX_ORDER", "CENSUS_MAX_ORDER", "CensusReport", "census",
-    "oracle_census", "oracle_cycle_sets", "count_paths", "count_cycles",
-    "count_enumerations", "enumeration_word_counts", "classify_enumeration",
-    "classify_cycle", "clones", "PathClass", "ClassPartition", "path_classes",
-    "path_type_classes", "cycle_type_classes", "word_int", "expand_signs",
-    # pattern digraphs
-    "Digraph2Spec", "CopyCounter", "count_copies", "check_complement_invariance",
-    "star_counterexample", "all_digraph_specs", "random_digraph_spec",
-    # verification
-    "Scope", "VerifyReport", "verify", "rosenfeld_check", "list_types",
-    "PROPERTY_IDS", "EXHAUSTIVE_MAX_ORDER", "EXHAUSTIVE_HARD_MAX",
-    "RANDOM_MAX_ORDER", "RANDOM_MAX_SAMPLES",
-    # errors
-    "TourCensusError", "EmptyTypeError", "IllFormedError", "TooShortError",
-    "TypeTooLongError", "BadSubsetError", "ScopeTooLargeError",
-    "UnknownPropertyError", "ParseError",
-    "ParityViolationError", "DivisibilityViolationError",
-]
+__all__ = ["__version__",
+           *dict.fromkeys(name for module in _PUBLISHED for name in module.__all__)]

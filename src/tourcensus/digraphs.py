@@ -8,13 +8,14 @@ components collapse.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
 from .census import _per_cycle, _per_path, _word_dp
 from .errors import DivisibilityViolationError, IllFormedError, ParseError, TypeTooLongError
-from .tournaments import Tournament, seed_stream
+from .tournaments import Tournament, pair_index, seed_stream
 from .type_algebra import (
     SignedTuple,
     _cyclic_runs_from_word,
@@ -33,7 +34,6 @@ from .type_algebra import (
 )
 
 __all__ = [
-    "Component",
     "Digraph2Spec",
     "CopyCounter",
     "count_copies",
@@ -96,7 +96,7 @@ class Digraph2Spec:
         comps = tuple(sorted(canon, key=_component_key))
         core = tuple(c for c in comps if c[0] != "V")
         rep = 1
-        for _, group in _group_equal(core):
+        for group in Counter(core).values():
             rep *= factorial(group)
         for name, value in (("components", comps), ("_core", core), ("_repetitions", rep),
                             ("order", sum(_component_order(c) for c in comps)),
@@ -227,16 +227,6 @@ class CopyCounter:
         return (ordered // rep) * comb(n - H.order + H.isolated, H.isolated)
 
 
-def _group_equal(comps: tuple[Component, ...]) -> list[tuple[Component, int]]:
-    out: list[tuple[Component, int]] = []
-    for c in comps:
-        if out and out[-1][0] == c:
-            out[-1] = (c, out[-1][1] + 1)
-        else:
-            out.append((c, 1))
-    return out
-
-
 def count_copies(T: Tournament, H: Digraph2Spec) -> int:
     return CopyCounter(T).count(H)
 
@@ -266,8 +256,6 @@ def star_counterexample(n: int) -> tuple[int, int]:
     beating everyone.  Only that vertex reaches out-degree n, and after
     reversal no vertex keeps n out-neighbours.
     """
-    from .tournaments import pair_index
-
     if n < 3:
         raise TypeTooLongError("star construction needs at least 3 leaves")
     order = n + 1
@@ -321,11 +309,8 @@ def random_digraph_spec(order: int, seed: int) -> Digraph2Spec:
         else:
             kind = "C" if next(stream) & 1 else "P"
             arcs = k if kind == "C" else k - 1
-            word = next(stream)
-            if kind == "C":
-                comps.append(("C", cycle_canonical(_cyclic_runs_from_word(word, arcs))))
-            else:
-                comps.append(("P", path_canonical(_runs_from_word(word, arcs))))
+            runs = _cyclic_runs_from_word if kind == "C" else _runs_from_word
+            comps.append((kind, runs(next(stream), arcs)))
         left -= k
     return Digraph2Spec(tuple(comps))
 

@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TourCensusError",
+    "EmptyTypeError",
+    "IllFormedError",
+    "TooShortError",
+    "TypeTooLongError",
+    "BadSubsetError",
+    "ScopeTooLargeError",
+    "UnknownPropertyError",
+    "ParseError",
+    "ParityViolationError",
+    "DivisibilityViolationError",
+]
+
 
 class TourCensusError(Exception):
     """Base class for all package-specific errors."""

@@ -24,7 +24,6 @@ __all__ = [
     "EXHAUSTIVE_HARD_MAX",
     "Tournament",
     "pair_index",
-    "parse",
     "load_tournaments",
     "transitive",
     "all_tournaments",

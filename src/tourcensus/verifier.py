@@ -78,6 +78,7 @@ __all__ = [
     "VerifyReport",
     "list_types",
     "verify",
+    "rosenfeld_check",
 ]
 
 
@@ -100,6 +101,8 @@ class Scope:
                 raise ScopeTooLargeError(
                     f"exhaustive scope capped at order {cap}, got {self.order}"
                 )
+            if self.samples or self.seed:
+                raise ValueError("samples and seed only apply to random scopes")
         else:
             if not 0 <= self.order <= RANDOM_MAX_ORDER:
                 raise ScopeTooLargeError(
@@ -560,3 +563,9 @@ def verify(property_id: str, scope: Scope, *, max_arc_sum: int | None = None) ->
     if scope.order < prop.least_order:
         return VerifyReport(property_id, scope, 0, [])
     return VerifyReport(property_id, scope, *prop.check(scope, max_arc_sum))
+
+
+def rosenfeld_check(scope: Scope) -> VerifyReport:
+    """The alternating-path special case of the path identity: the
+    ``rosenfeld`` sweep over ``scope``."""
+    return verify("rosenfeld", scope)

@@ -1,0 +1,59 @@
+"""The call list and the comparison of tools/cli_identity.py, on made-up results.
+
+No revision is exported and no call runs here."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from tourcensus.verifier import PROPERTY_IDS
+
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(_TOOLS))  # cli_identity imports bench_record
+try:
+    _spec = importlib.util.spec_from_file_location("cli_identity", _TOOLS / "cli_identity.py")
+    cli_identity = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(cli_identity)
+finally:
+    sys.path.remove(str(_TOOLS))
+
+
+def _verify_calls(calls, pid):
+    return [c for c in calls if c[2:5] == ("verify", "--property", pid)]
+
+
+def test_every_property_runs_on_every_scope():
+    calls = cli_identity.fixed_calls(PROPERTY_IDS)
+    for pid in PROPERTY_IDS:
+        mine = _verify_calls(calls, pid)
+        orders = [c[c.index("--order") + 1] for c in mine if "--exhaustive" in c
+                  and "--max-arc-sum" not in c]
+        assert orders == [str(n) for n in range(6)], pid
+        orders = [c[c.index("--order") + 1] for c in mine if "--random" in c]
+        assert orders == ["0", "1", "2", "3", "7", "9"], pid
+        assert all(c[-4:] == ("--samples", "3", "--seed", "11") for c in mine if "--random" in c)
+        assert sum("--max-arc-sum" in c for c in mine) == 1, pid
+
+
+def test_fixed_calls_cover_every_subcommand_and_the_public_names():
+    calls = cli_identity.fixed_calls(PROPERTY_IDS)
+    assert len(calls) == len(set(calls))
+    commands = {c[2] for c in calls if c[:2] == ("-m", "tourcensus")}
+    assert commands == {"verify", "census", "gen", "hcount"}
+    assert any("--complement-check" in c for c in calls)
+    assert _verify_calls(calls, "no-such-property")
+    assert calls[-1] == cli_identity.PUBLIC_NAMES
+    assert "tourcensus.__all__" in calls[-1][1]
+
+
+def test_differences_name_every_differing_call():
+    calls = [("-m", "tourcensus", "a"), ("-m", "tourcensus", "b"),
+             ("-m", "tourcensus", "c"), ("-c", "print(1)")]
+    parent = [(b"{}\n", b"", 0), (b"x\n", b"", 1), (b"", b"error: e\n", 2), (b"1\n", b"", 0)]
+    assert cli_identity.differences(calls, parent, list(parent)) == []
+    change = [(b"{}\n", b"", 0), (b"x\n", b"", 0), (b"", b"error: f\n", 2), (b"2\n", b"w\n", 0)]
+    assert cli_identity.differences(calls, parent, change) == [
+        "-m tourcensus b: exit code differ",
+        "-m tourcensus c: stderr differ",
+        "-c print(1): stdout, stderr differ",
+    ]

@@ -58,6 +58,14 @@ def test_scope_random_caps():
         Scope(mode="unknown", order=4)
 
 
+@pytest.mark.parametrize("fields", [{"samples": 5}, {"seed": 7}, {"samples": 5, "seed": 7}])
+def test_scope_exhaustive_refuses_random_fields(fields):
+    # the report would echo neither field, so the scope must not accept them
+    with pytest.raises(ValueError, match="random scopes"):
+        Scope(mode="exhaustive", order=3, **fields)
+    Scope(mode="exhaustive", order=3, samples=0, seed=0)
+
+
 def test_scope_tournament_streams():
     assert sum(1 for _ in Scope(mode="exhaustive", order=3).tournaments()) == 8
     pairs = list(Scope(mode="random", order=6, samples=5, seed=11).tournaments())

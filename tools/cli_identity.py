@@ -1,0 +1,133 @@
+"""Check that the command line prints the same bytes at a parent and at HEAD.
+
+    python3 tools/cli_identity.py [--parent REV]
+
+The change is HEAD and the parent is HEAD's first parent unless ``--parent``
+names another revision.  Both revisions are exported from git with
+``bench_record.export`` into one temporary directory, deleted at the end.
+Every call runs once per side as ``python3 ARGS`` with ``PYTHONPATH`` set to
+that side's ``src``, and its stdout, stderr and exit code are compared byte
+for byte.  The calls are the fixed list ``fixed_calls()`` (every property on
+small exhaustive and random scopes, the arc-sum bound, an unknown id,
+``census``, ``gen`` and ``hcount``, and one call that prints the sorted
+``tourcensus.__all__``, so a dropped public name shows as a difference) and
+every benchmark call of ``BENCH_SEEDS``, with the inputs that the change's
+``perfbench/workloads.py`` writes.  Prints each call that differs and a
+summary; exits 1 when any call differs.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_record import _git, export
+
+CLI = ("-m", "tourcensus")
+PUBLIC_NAMES = ("-c", "import tourcensus; print(*sorted(tourcensus.__all__))")
+EXHAUSTIVE_ORDERS = tuple(range(6))
+RANDOM_ORDERS = (0, 1, 2, 3, 7, 9)
+RANDOM = ("--samples", "3", "--seed", "11")
+BENCH_SEEDS = (1, 7)
+HOST7 = "7:001011010010000111101"
+HOST5 = "5:1101001110"
+
+
+def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The interpreter arguments of every fixed call, in run order."""
+    calls = []
+    for pid in property_ids:
+        verify = (*CLI, "verify", "--property", pid)
+        calls += [(*verify, "--exhaustive", "--order", str(n)) for n in EXHAUSTIVE_ORDERS]
+        calls += [(*verify, "--random", "--order", str(n), *RANDOM) for n in RANDOM_ORDERS]
+        calls.append((*verify, "--exhaustive", "--order", "4", "--max-arc-sum", "2"))
+    calls += [
+        (*CLI, "verify", "--property", "no-such-property", "--exhaustive", "--order", "3"),
+        (*CLI, "census", "--order", "5", "--tournament", HOST5),
+        (*CLI, "census", "--order", "7", "--random", "--seed", "3"),
+        (*CLI, "census", "--order", "4", "--tournament", HOST5),
+        (*CLI, "census", "--order", "4", "--tournament", "4:111011", "--seed", "1"),
+        (*CLI, "gen", "--all", "--order", "3"),
+        (*CLI, "gen", "--transitive", "--order", "5"),
+        (*CLI, "gen", "--random", "--order", "6", "--count", "4", "--seed", "5"),
+        (*CLI, "gen", "--random", "--order", "4", "--count", "0"),
+        (*CLI, "hcount", "--tournament", HOST7, "--digraph", "P(1,-1);C(1,-2);V"),
+        (*CLI, "hcount", "--tournament", HOST7, "--digraph", "C(2,-1,1,-1)",
+         "--complement-check"),
+        (*CLI, "hcount", "--tournament", HOST5, "--digraph", "P(1);P(1);V",
+         "--complement-check"),
+        (*CLI, "hcount", "--tournament", HOST5, "--digraph", "P(1,1)"),
+        PUBLIC_NAMES,
+    ]
+    return calls
+
+
+def benchmark_calls(perfbench: Path, workdir: Path) -> list[tuple[str, ...]]:
+    """The benchmark's CLI calls of every workload at ``BENCH_SEEDS``; their
+    input files are written under ``workdir``."""
+    sys.path.insert(0, str(perfbench))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(perfbench))
+    calls = []
+    for seed in BENCH_SEEDS:
+        for name, (inputs, make_calls) in WORKLOADS.items():
+            where = workdir / f"{name}-{seed}"
+            where.mkdir(parents=True)
+            calls += [(*CLI, *call.argv) for call in make_calls(inputs(seed, where))]
+    return calls
+
+
+def run(call: tuple[str, ...], src: Path, cwd: Path) -> tuple[bytes, bytes, int]:
+    """Stdout, stderr and exit code of one call against the package in ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, *call], capture_output=True, env=env, cwd=cwd)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def differences(calls: list[tuple[str, ...]], parent: list, change: list) -> list[str]:
+    """One line per call whose stdout, stderr or exit code differs."""
+    out = []
+    for call, p, c in zip(calls, parent, change, strict=True):
+        parts = [part for part, a, b in zip(("stdout", "stderr", "exit code"), p, c) if a != b]
+        if parts:
+            out.append(f"{' '.join(call)}: {', '.join(parts)} differ")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD^",
+                        help="parent revision; the change is HEAD (default HEAD^)")
+    args = parser.parse_args(argv)
+    # on SIGTERM, unwind so that the exported checkouts are deleted
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    shas = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
+    scratch = Path(tempfile.mkdtemp(prefix="cli_identity_"))
+    try:
+        checkouts = {side: export(sha, scratch / side) for side, sha in shas.items()}
+        ids = run(("-c", "from tourcensus.verifier import PROPERTY_IDS; print(*PROPERTY_IDS)"),
+                  checkouts["change"] / "src", scratch)[0].decode().split()
+        calls = [*fixed_calls(tuple(ids)),
+                 *benchmark_calls(checkouts["change"] / "perfbench", scratch / "inputs")]
+        results = {side: [run(call, checkouts[side] / "src", scratch) for call in calls]
+                   for side in shas}
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    differ = differences(calls, results["parent"], results["change"])
+    for line in differ:
+        print(line)
+    print(f"{len(calls)} calls, {len(calls) - len(differ)} identical, {len(differ)} differ "
+          f"(parent {shas['parent'][:7]}, change {shas['change'][:7]})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
