@@ -509,25 +509,40 @@ def oracle_census(T: Tournament) -> CensusReport:
     """Brute-force census: classify every permutation, no DP involved.
 
     Paths are deduplicated by keeping the endpoint-ordered reading of each
-    arc set; cycles fix vertex 0 first and keep one direction.
+    arc set; cycles fix vertex 0 first and keep one direction.  The two
+    halves are ``_oracle_path_counts`` and ``_oracle_cycle_counts``; a check
+    that compares one of them calls it alone.
     """
+    return CensusReport(T.n, _oracle_path_counts(T), _oracle_cycle_counts(T))
+
+
+def _oracle_path_counts(T: Tournament) -> dict[SignedTuple, int]:
+    """The oracle's path half: every open permutation, read from its lower end."""
     _oracle_guard(T)
     n = T.n
-    path_counts: dict[SignedTuple, int] = {}
-    if n >= 2:
-        path_counts = {cls: 0 for cls in path_type_classes(n - 1)}
-        classes = _path_word_classes(n)
-        for perm in permutations(range(n)):
-            if perm[0] > perm[-1]:
-                continue
-            path_counts[classes[_word_of(T, perm)]] += 1
-    cycle_counts: dict[SignedTuple, int] = {}
-    if n >= 3:
-        cycle_counts = {cls: 0 for cls in cycle_type_classes(n)}
-        classes = _cycle_word_classes(n)
-        for vs in _closed_sequences(n):
-            cycle_counts[classes[_closed_word_of(T, vs)]] += 1
-    return CensusReport(n, path_counts, cycle_counts)
+    if n < 2:
+        return {}
+    path_counts = {cls: 0 for cls in path_type_classes(n - 1)}
+    classes = _path_word_classes(n)
+    for perm in permutations(range(n)):
+        if perm[0] > perm[-1]:
+            continue
+        path_counts[classes[_word_of(T, perm)]] += 1
+    return path_counts
+
+
+def _oracle_cycle_counts(T: Tournament) -> dict[SignedTuple, int]:
+    """The oracle's cycle half: every closed sequence, streamed and classified
+    one at a time, so no cycle list is kept."""
+    _oracle_guard(T)
+    n = T.n
+    if n < 3:
+        return {}
+    cycle_counts = {cls: 0 for cls in cycle_type_classes(n)}
+    classes = _cycle_word_classes(n)
+    for vs in _closed_sequences(n):
+        cycle_counts[classes[_closed_word_of(T, vs)]] += 1
+    return cycle_counts
 
 
 def oracle_cycle_sets(T: Tournament) -> dict[SignedTuple, set[frozenset[Arc]]]:

@@ -44,7 +44,8 @@ from tourcensus import (
     word_int,
 )
 from tourcensus.census import (
-    _Lanes, _advance, _f_from_words, _length_census, _spanning_path_counts, _word_dp,
+    CensusReport, _Lanes, _advance, _f_from_words, _length_census, _oracle_cycle_counts,
+    _oracle_path_counts, _spanning_path_counts, _word_dp,
 )
 from tourcensus.verifier import _runs
 
@@ -289,6 +290,13 @@ def test_census_matches_oracle(T):
     b = oracle_census(T)
     assert a.path_counts == b.path_counts
     assert a.cycle_counts == b.cycle_counts
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_oracle_census_is_its_two_halves(n):
+    for T in all_tournaments(n):
+        assert oracle_census(T) == CensusReport(n, _oracle_path_counts(T),
+                                                _oracle_cycle_counts(T))
 
 
 @lru_cache(maxsize=None)

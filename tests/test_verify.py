@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from importlib import import_module
 
 import pytest
 
@@ -21,7 +22,7 @@ from tourcensus import (
 )
 from tourcensus.census import _Lanes, count_paths, path_type_classes
 from tourcensus.digraphs import CopyCounter, all_digraph_specs
-from tourcensus.tournaments import Tournament
+from tourcensus.tournaments import Tournament, all_tournaments
 from tourcensus.type_algebra import (
     format_type,
     generated_cycle_types,
@@ -30,6 +31,8 @@ from tourcensus.type_algebra import (
     standard_tuples,
     star_one,
 )
+
+census_mod = import_module("tourcensus.census")  # the package name ``census`` is the function
 
 
 # --- scopes ---------------------------------------------------------------------
@@ -347,14 +350,14 @@ def _expected(scope, records_of):
 def _pe_ratio_fault(monkeypatch, scope, faulty):
     # the oracle finds one directed Hamiltonian path too many
     directed = (scope.order - 1,)
-    real = verify_mod.oracle_census
+    real = verify_mod._oracle_path_counts
 
-    def oracle_census(T):
-        report = real(T)
+    def oracle_path_counts(T):
+        counts = real(T)
         if T.bits in faulty:
-            report.path_counts[path_canonical(directed)] += 1
-        return report
-    monkeypatch.setattr(verify_mod, "oracle_census", oracle_census)
+            counts[path_canonical(directed)] += 1
+        return counts
+    monkeypatch.setattr(verify_mod, "_oracle_path_counts", oracle_path_counts)
 
     def records_of(index, T):
         if T.bits not in faulty:
@@ -368,14 +371,12 @@ def _pe_ratio_fault(monkeypatch, scope, faulty):
 
 def _count_formula_fault(monkeypatch, scope, faulty):
     # the oracle finds no Hamiltonian cycle of any type
-    real = verify_mod.oracle_census
+    real = verify_mod._oracle_cycle_counts
 
-    def oracle_census(T):
-        report = real(T)
-        if T.bits in faulty:
-            report.cycle_counts = dict.fromkeys(report.cycle_counts, 0)
-        return report
-    monkeypatch.setattr(verify_mod, "oracle_census", oracle_census)
+    def oracle_cycle_counts(T):
+        counts = real(T)
+        return dict.fromkeys(counts, 0) if T.bits in faulty else counts
+    monkeypatch.setattr(verify_mod, "_oracle_cycle_counts", oracle_cycle_counts)
 
     def records_of(index, T):
         if T.bits not in faulty:
@@ -602,6 +603,59 @@ def test_complement_bridge_walks_each_run_once(monkeypatch):
     runs = [index for index, _ in verify_mod._runs(scope)]
     assert len(runs) == 64
     assert sorted(calls) == sorted(runs)
+
+
+def _refuse(monkeypatch, *names):
+    """Make each oracle entry point raise, in census and in the verifier."""
+    def refused(T):
+        raise AssertionError("this sweep must not compute that oracle half")
+    for name in names:
+        monkeypatch.setattr(census_mod, name, refused)
+        monkeypatch.setattr(verify_mod, name, refused, raising=False)
+
+
+@pytest.mark.parametrize("scope", [
+    Scope(mode="exhaustive", order=5),
+    Scope(mode="random", order=8, samples=1, seed=3),
+], ids=["exhaustive-5", "random-8"])
+def test_count_formula_reads_only_the_cycle_half(monkeypatch, scope):
+    _refuse(monkeypatch, "oracle_census", "_oracle_path_counts")
+    report = verify("count-formula", scope)
+    assert report.passed and report.checked > 0
+
+
+@pytest.mark.parametrize("scope", [
+    Scope(mode="exhaustive", order=5),
+    Scope(mode="random", order=8, samples=1, seed=3),
+], ids=["exhaustive-5", "random-8"])
+def test_pe_ratio_reads_only_the_path_half(monkeypatch, scope):
+    _refuse(monkeypatch, "oracle_census", "_oracle_cycle_counts")
+    report = verify("pe-ratio", scope)
+    assert report.passed and report.checked > 0
+
+
+@pytest.mark.parametrize("order", range(3, 7))
+def test_szele_floor_walks_one_run_per_pair(monkeypatch, order):
+    calls = []
+    real = verify_mod._spanning_path_counts
+
+    def counting(T, *args):
+        calls.append(T.bits)
+        return real(T, *args)
+    monkeypatch.setattr(verify_mod, "_spanning_path_counts", counting)
+    scope = Scope(mode="exhaustive", order=order)
+    report = verify("szele-floor", scope)
+    runs = [index for index, _ in verify_mod._runs(scope)]
+    assert calls == runs[::2]  # the first run of each complement pair
+    assert report.checked == 1 << order * (order - 1) // 2
+
+
+@pytest.mark.parametrize("order", range(2, 6))
+def test_szele_floor_max_is_the_brute_force_maximum(order):
+    best = max(count_paths(T, (order - 1,)) for T in all_tournaments(order))
+    report = verify("szele-floor", Scope(mode="exhaustive", order=order))
+    assert report.details["max"] == best
+    assert report.checked == 1 << order * (order - 1) // 2
 
 
 def test_h_invariance_random_scope_counts_both_hosts_per_sample(monkeypatch):
