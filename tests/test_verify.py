@@ -605,32 +605,21 @@ def test_complement_bridge_walks_each_run_once(monkeypatch):
     assert sorted(calls) == sorted(runs)
 
 
-def _refuse(monkeypatch, *names):
-    """Make each oracle entry point raise, in census and in the verifier."""
+@pytest.mark.parametrize("scope", [
+    Scope(mode="exhaustive", order=5),
+    Scope(mode="random", order=8, samples=1, seed=3),
+], ids=["exhaustive-5", "random-8"])
+@pytest.mark.parametrize("pid, unread", [
+    ("count-formula", "_oracle_path_counts"),
+    ("pe-ratio", "_oracle_cycle_counts"),
+])
+def test_oracle_sweeps_compute_only_the_half_they_compare(monkeypatch, pid, unread, scope):
     def refused(T):
-        raise AssertionError("this sweep must not compute that oracle half")
-    for name in names:
+        raise AssertionError(f"{pid} must not call the oracle's whole census or {unread}")
+    for name in ("oracle_census", unread):
         monkeypatch.setattr(census_mod, name, refused)
         monkeypatch.setattr(verify_mod, name, refused, raising=False)
-
-
-@pytest.mark.parametrize("scope", [
-    Scope(mode="exhaustive", order=5),
-    Scope(mode="random", order=8, samples=1, seed=3),
-], ids=["exhaustive-5", "random-8"])
-def test_count_formula_reads_only_the_cycle_half(monkeypatch, scope):
-    _refuse(monkeypatch, "oracle_census", "_oracle_path_counts")
-    report = verify("count-formula", scope)
-    assert report.passed and report.checked > 0
-
-
-@pytest.mark.parametrize("scope", [
-    Scope(mode="exhaustive", order=5),
-    Scope(mode="random", order=8, samples=1, seed=3),
-], ids=["exhaustive-5", "random-8"])
-def test_pe_ratio_reads_only_the_path_half(monkeypatch, scope):
-    _refuse(monkeypatch, "oracle_census", "_oracle_cycle_counts")
-    report = verify("pe-ratio", scope)
+    report = verify(pid, scope)
     assert report.passed and report.checked > 0
 
 
