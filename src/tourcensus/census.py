@@ -220,21 +220,20 @@ def _arc_lanes(n: int, count: int, out_mask: int, in_mask: int) -> tuple:
 
 
 class _Lanes:
-    """Tournaments that differ only in the arcs at the start vertex of a
-    closed walk, one lane each of every packed count of the walk.
+    """Tournaments that differ only in vertex 0's arcs, one lane each of
+    every packed count of a closed walk from vertex 0.
 
     Lane i is ``T`` with vertex 0's arcs, serial bits 0..n-2, flipped by i:
-    the tournament ``T.bits ^ i``; more than one lane needs start 0.  It is
-    bits [i*width, (i+1)*width) of a count.  ``seed`` and ``close`` hold, per
-    sign, the lanes of the first step and of the closing arc.
+    the tournament ``T.bits ^ i``.  It is bits [i*width, (i+1)*width) of a
+    count.  ``seed`` and ``close`` hold, per sign, the lanes of the first
+    step and of the closing arc.
     """
 
     __slots__ = ("T", "count", "width", "ones", "seed", "close")
 
-    def __init__(self, T: Tournament, count: int = 1, start: int = 0):
+    def __init__(self, T: Tournament, count: int = 1):
         self.T, self.count = T, count
-        # the arcs start -> v and v -> start; the order-0 tournament has none
-        masks = (T.out_masks[start], T.in_masks[start]) if T.n else (0, 0)
+        masks = (T.out_masks[0], T.in_masks[0]) if T.n else (0, 0)  # order 0 has no arcs
         self.width, self.ones, self.seed, self.close = _arc_lanes(T.n, count, *masks)
 
     def tournament(self, i: int) -> Tournament:
@@ -277,13 +276,14 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
     if closed:  # the first step is seeded with its lanes; no closed word ends at the root
         stack = []
         for s in starts:
-            ln = _Lanes(T, start=s) if lanes is None else lanes
+            seed, close = (_arc_lanes(T.n, 1, out_masks[s], in_masks[s])[2:] if lanes is None
+                           else (lanes.seed, lanes.close))
             below = (1 << s) - 1 if words is None else 0  # never visited: marked used
             base = ((1 << s) | below) << 4
             for bit, child in root[0]:
-                states = {base + step: c for step, c in ln.seed[bit] if not step >> 4 & below}
+                states = {base + step: c for step, c in seed[bit] if not step >> 4 & below}
                 if states:
-                    stack.append((child, 1, bit, states, ln.close))
+                    stack.append((child, 1, bit, states, close))
     else:
         stack = [(root, 0, 0, {((1 << v) << 4) | v: 1 for v in starts}, _OPEN)]
     while stack:

@@ -119,7 +119,7 @@ def _cmd_census(args) -> tuple[int, dict]:
         _require_order(T, args.order, "the given tournament")
         return 0, {"schema": 1, **_census_doc(T)}
     if args.input is not None:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8", newline="") as fh:
             ts = load_tournaments(fh)
         reports = []
         for i, T in enumerate(ts):

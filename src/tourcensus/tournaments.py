@@ -150,13 +150,23 @@ def parse(text: str) -> Tournament:
 
 
 def load_tournaments(lines: Iterable[str]) -> list[Tournament]:
-    """Read one tournament per line; blank lines and ``#`` comments skipped."""
+    """Read one tournament per line; blank lines and ``#`` comments skipped.
+
+    A ``ParseError`` names the line (from 1) and carries the byte offset in
+    the whole input, line endings included as given.
+    """
     out = []
-    for line in lines:
+    offset = 0
+    for number, line in enumerate(lines, 1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append(parse(stripped))
+        if stripped and not stripped.startswith("#"):
+            try:
+                out.append(parse(stripped))
+            except ParseError as exc:
+                lead = len(line[: len(line) - len(line.lstrip())].encode())
+                raise ParseError(f"line {number}: {exc.message}",
+                                 offset + lead + exc.offset) from None
+        offset += len(line.encode())
     return out
 
 

@@ -282,8 +282,8 @@ def star_one(beta: Iterable[int], pos: int) -> int:
 
 
 class GeneratedCycles(NamedTuple):
-    first: SignedTuple  # closing arc grows the leading block / prepends a unit block
-    second: SignedTuple  # closing arc grows the trailing block / fuses the end blocks
+    first: SignedTuple  # closing arc against the last block
+    second: SignedTuple  # closing arc along the last block
     coincide: bool
 
 
@@ -291,27 +291,14 @@ def generated_cycle_types(alpha: Iterable[int]) -> GeneratedCycles:
     """The two canonical cycle types a Hamiltonian path of type ``alpha`` can
     close into, depending on the orientation of the arc between its endpoints.
 
-    With an even number of blocks the closing arc extends either the first or
-    the last block by one arc.  With an odd count it either becomes a new
-    length-one block in front or fuses the two end blocks together (for a
-    single forward/backward run, that fusion is the full circuit).
+    The cycle's sign word is the path's word followed by the closing arc's
+    bit, read cyclically: against the last block, then along it.
     """
     a = check_standard_path(alpha)
-    s = len(a)
-    if s % 2 == 0:
-        step = 1 if a[0] > 0 else -1
-        first = (a[0] + step,) + a[1:]
-        second = a[:-1] + (a[-1] - step,)
-    else:
-        step = 1 if a[0] > 0 else -1
-        first = (-step,) + a
-        if s == 1:
-            second = (a[0] + step,)
-        else:
-            second = (a[-1] + a[0] + step,) + a[1:-1]
-    c1 = cycle_canonical(normalize_cycle(first))
-    c2 = cycle_canonical(normalize_cycle(second))
-    return GeneratedCycles(c1, c2, c1 == c2)
+    m, w, along = arc_sum(a), word_int(a), int(a[-1] > 0)
+    first, second = (cycle_canonical(_cyclic_runs_from_word(w | bit << m, m + 1))
+                     for bit in (1 - along, along))
+    return GeneratedCycles(first, second, first == second)
 
 
 def expand_signs(tup: Sequence[int]) -> tuple[int, ...]:

@@ -51,9 +51,7 @@ from .type_algebra import (
     format_type,
     generated_cycle_types,
     is_symmetric,
-    neg_reverse,
     negate,
-    normalize_cycle,
     normalize_path,
     path_canonical,
     path_type_classes,
@@ -398,31 +396,27 @@ def _check_count_formula(scope: Scope, _):
     """Spanning path counts against delta-weighted generated-cycle counts.
 
     For an even-block cycle tuple beta, shrinking the lead block by one arc
-    (against its direction) gives a path type; its f equals g(beta) * t(beta)
-    when the shrunk tuple is symmetric, and otherwise the weighted sum over
-    the two closures beta and beta with both end blocks shrunk.  f comes from
+    (against its direction) gives a path type alpha, one of whose two
+    generated cycle types is beta's.  f(alpha) equals g * t of that type
+    when the two coincide, and otherwise the sum of delta * g * t over both.
+    The weights are type arithmetic, worked out once per scope; f comes from
     the DP word table, g from the permutation oracle.
     """
     n = scope.order
+    sides = []
+    for beta in standard_tuples(n, "cycle"):
+        if len(beta) % 2 == 0:
+            alpha = normalize_path((star_one(beta, 1),) + beta[1:])
+            gen = generated_cycle_types(alpha)
+            weights = ([(gen.first, period_info(gen.first).t)] if gen.coincide else
+                       [(g, delta(g) * period_info(g).t) for g in gen[:2]])
+            sides.append((beta, alpha, weights))
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         gvals = _oracle_cycle_counts(lanes.T)
         words = enumeration_word_counts(lanes.T, n)
-        for beta in standard_tuples(n, "cycle"):
-            s = len(beta)
-            if s % 2:
-                continue
-            lead = star_one(beta, 1)
-            raw = (lead,) + beta[1:]
-            lhs = _f_from_words(words, normalize_path(raw))
-            if raw == neg_reverse(raw):
-                rhs = gvals[cycle_canonical(beta)] * period_info(beta).t
-            else:
-                other = normalize_cycle((lead,) + beta[1:-1] + (star_one(beta, s),))
-                rhs = (delta(beta) * gvals[cycle_canonical(beta)] * period_info(beta).t
-                       + delta(other) * gvals[cycle_canonical(other)]
-                       * period_info(other).t)
-            yield beta, lhs, rhs
+        for beta, alpha, weights in sides:
+            yield beta, _f_from_words(words, alpha), sum(w * gvals[g] for g, w in weights)
 
     return _sweep(scope, compare, _type_field, single=True)
 

@@ -32,6 +32,7 @@ from tourcensus import (
     cycle_type_classes,
     enumeration_word_counts,
     expand_signs,
+    generated_cycle_types,
     is_symmetric,
     neg_reverse,
     oracle_census,
@@ -44,9 +45,10 @@ from tourcensus import (
     word_int,
 )
 from tourcensus.census import (
-    CensusReport, _Lanes, _advance, _f_from_words, _length_census, _oracle_cycle_counts,
-    _oracle_path_counts, _spanning_path_counts, _word_dp,
+    CensusReport, _Lanes, _advance, _f_from_words, _halved, _length_census,
+    _oracle_cycle_counts, _oracle_path_counts, _spanning_path_counts, _word_dp,
 )
+from tourcensus.errors import ParityViolationError
 from tourcensus.verifier import _runs
 
 TT3 = Tournament.parse("3:111")
@@ -283,6 +285,24 @@ def test_count_cycles_canonicalizes_input():
     assert count_cycles(C3, (-3,)) == 1
 
 
+def test_count_cycles_length_guard():
+    with pytest.raises(TypeTooLongError):
+        count_cycles(C3, (1, -1, 1, -1))  # four arcs need four vertices
+    with pytest.raises(TypeTooLongError):
+        count_cycles(Tournament.parse("2:1"), (3,))
+
+
+def test_halved_names_the_odd_lane():
+    lanes = _Lanes(C3, 4)
+    packed = sum(c << lanes.width * i for i, c in enumerate((2, 4, 7, 6)))
+    assert lanes.unpack(packed) == [2, 4, 7, 6]
+    with pytest.raises(ParityViolationError, match=r"odd reading count 7 for \(3,\)"):
+        _halved(packed, (3,), lanes)
+    with pytest.raises(ParityViolationError, match="odd reading count 5 "):
+        _halved(5, (3,))
+    assert lanes.unpack(_halved(packed - (1 << 2 * lanes.width), (3,), lanes)) == [1, 2, 3, 3]
+
+
 @given(random_small(5))
 @settings(max_examples=25, deadline=None)
 def test_census_matches_oracle(T):
@@ -395,6 +415,12 @@ def test_census_scope_guards():
         oracle_census(Tournament(9, 0))
 
 
+@pytest.mark.parametrize("n", range(3))
+def test_oracle_cycle_sets_below_order_three_are_empty(n):
+    for T in all_tournaments(n):
+        assert oracle_cycle_sets(T) == {}
+
+
 def test_oracle_cycle_sets_consistency():
     sets = oracle_cycle_sets(C3)
     assert set(sets) == {(3,)}
@@ -488,3 +514,17 @@ def test_path_classes_cover_all_paths(T):
         assert {c.cycle_arcs: c.paths for c in part.classes} == expect, T.serialize()
         order = [sorted(c.cycle_arcs) for c in part.classes]
         assert order == sorted(order)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_path_classes_close_only_into_the_generated_types(n):
+    # the oracle's cycles, cut into paths of alpha, close into exactly the two
+    # types that type arithmetic derives from alpha's sign word
+    alphas = standard_tuples(n - 1, "path")
+    closed = {alpha: set() for alpha in alphas}
+    for T in all_tournaments(n):  # each T's cycles are listed once for all its types
+        for alpha in alphas:
+            closed[alpha].update(c.cycle_type for c in path_classes(T, alpha).classes)
+    for alpha in alphas:
+        first, second, _ = generated_cycle_types(alpha)
+        assert closed[alpha] == {first, second}, alpha

@@ -64,6 +64,21 @@ def test_census_input_file(capsys, tmp_path):
     assert doc["reports"][1]["cycles"]["(3)"] == 1
 
 
+@pytest.mark.parametrize("data, line, offset", [
+    (b"  3:1x1\n", 1, 5),
+    (b"3:111\n3:1x1\n", 2, 9),
+    (b"3:111\r\n3:1x1\r\n", 2, 10),
+    (b"# corpus\r\n\r\n 3:101\r\n3:1x1\r\n", 4, 23),
+])
+def test_census_input_error_offset_is_in_the_file(capsys, tmp_path, data, line, offset):
+    path = tmp_path / "ts.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "census", "--order", "3", "--input", str(path))
+    assert code == 2 and not out
+    assert err == f"error: line {line}: bad relation character 'x' (byte {offset})\n"
+    assert data[offset:offset + 1] == b"x"
+
+
 def test_census_missing_input_file(capsys, tmp_path):
     code, out, err = run(capsys, "census", "--order", "3", "--input", str(tmp_path / "no"))
     assert code == 2 and not out

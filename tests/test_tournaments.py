@@ -1,5 +1,6 @@
 """Unit tests for the bit-packed tournament representation."""
 
+import io
 import re
 from pathlib import Path
 
@@ -133,6 +134,29 @@ def test_load_tournaments_skips_blank_and_comments():
     lines = ["# header", "", "3:111", "  3:101  ", "# done"]
     ts = load_tournaments(lines)
     assert [t.serialize() for t in ts] == ["3:111", "3:101"]
+
+
+@pytest.mark.parametrize("text, line, offset", [
+    ("  3:1x1\n", 1, 5),  # leading blanks
+    ("3:111\n3:1x1\n", 2, 9),
+    ("3:111\r\n3:1x1\r\n", 2, 10),  # CRLF, read with newline=""
+    ("# note\n3:1x1\n", 2, 10),  # a comment line
+    ("\n\n3:1x1", 3, 5),  # blank lines
+    ("# \u00e9\n \t3:1x1\n", 2, 10),  # a two-byte character before
+])
+def test_load_tournaments_error_offsets_are_in_the_file(text, line, offset):
+    with pytest.raises(ParseError) as info:
+        load_tournaments(io.StringIO(text, newline=""))
+    assert info.value.offset == offset
+    assert str(info.value) == f"line {line}: bad relation character 'x' (byte {offset})"
+    assert text.encode()[offset:offset + 1] == b"x"
+
+
+def test_load_tournaments_short_line_offset_is_its_end():
+    text = "3:111\r\n\t3:10\r\n"
+    with pytest.raises(ParseError, match=r"^line 2: expected 3 relation bits, got 2 \(byte 12\)$"):
+        load_tournaments(io.StringIO(text, newline=""))
+    assert text[12:14] == "\r\n"
 
 
 def test_all_tournaments_counts():

@@ -30,6 +30,7 @@ from tourcensus.type_algebra import (
     path_canonical,
     standard_tuples,
     star_one,
+    symmetric_tuples,
 )
 
 census_mod = import_module("tourcensus.census")  # the package name ``census`` is the function
@@ -621,6 +622,35 @@ def test_oracle_sweeps_compute_only_the_half_they_compare(monkeypatch, pid, unre
         monkeypatch.setattr(verify_mod, name, refused, raising=False)
     report = verify(pid, scope)
     assert report.passed and report.checked > 0
+
+
+def test_count_formula_works_out_its_types_once_per_scope(monkeypatch):
+    calls = []
+    real = verify_mod.generated_cycle_types
+
+    def counting(alpha):
+        calls.append(alpha)
+        return real(alpha)
+    monkeypatch.setattr(verify_mod, "generated_cycle_types", counting)
+    report = verify("count-formula", Scope(mode="random", order=7, samples=3, seed=4))
+    betas = [beta for beta in standard_tuples(7, "cycle") if len(beta) % 2 == 0]
+    assert report.passed and report.checked == 3 * len(betas)
+    # one call per even-block beta, for the path type its lead block shrinks to
+    assert calls == [normalize_path((star_one(beta, 1),) + beta[1:]) for beta in betas]
+
+
+def test_t_one_violation_records(monkeypatch):
+    # every repetition count doubles, so every symmetric type fails
+    real = verify_mod.period_info
+    monkeypatch.setattr(verify_mod, "period_info",
+                        lambda tup: real(tup)._replace(t=2 * real(tup).t))
+    report = verify("t-one", Scope(mode="random", order=7, samples=1))
+    alphas = symmetric_tuples(6)
+    assert report.checked == len(alphas) == 14
+    expected = [{"type": format_type(alpha),
+                 "cycle_type": format_type(generated_cycle_types(alpha).first),
+                 "lhs": 2, "rhs": 1} for alpha in alphas]
+    assert report.violations == expected[:10]  # capped, in type order
 
 
 @pytest.mark.parametrize("order", range(3, 7))
