@@ -40,14 +40,19 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
+def _check_order(n: int) -> None:
+    """Refuse an order outside 0..MAX_ORDER before anything of that size is built."""
+    if not 0 <= n <= MAX_ORDER:
+        raise ScopeTooLargeError(f"order {n} outside supported range 0..{MAX_ORDER}")
+
+
 class Tournament:
     """Immutable complete orientation of K_n."""
 
     __slots__ = ("n", "bits", "out_masks", "in_masks")
 
     def __init__(self, n: int, bits: int):
-        if not 0 <= n <= MAX_ORDER:
-            raise ScopeTooLargeError(f"order {n} outside supported range 0..{MAX_ORDER}")
+        _check_order(n)
         m = n * (n - 1) // 2
         if not 0 <= bits < (1 << m):
             raise ValueError(f"bit relation out of range for order {n}")
@@ -172,6 +177,7 @@ def load_tournaments(lines: Iterable[str]) -> list[Tournament]:
 
 def transitive(n: int) -> Tournament:
     """The transitive tournament: every arc points from lower to higher label."""
+    _check_order(n)
     m = n * (n - 1) // 2
     return Tournament(n, (1 << m) - 1 if m else 0)
 
@@ -210,6 +216,7 @@ def seed_stream(seed: int) -> Iterator[int]:
 def random_tournament(n: int, seed: int) -> Tournament:
     """Deterministic pseudo-random tournament: pair bit k is bit k of the
     concatenated splitmix64 stream for ``seed``."""
+    _check_order(n)
     m = n * (n - 1) // 2
     words = seed_stream(seed)
     bits = 0
@@ -223,6 +230,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
 def random_tournaments(n: int, seed: int, count: int) -> Iterator[Tournament]:
     """A reproducible sample stream: sample k is seeded with the k-th
     splitmix64 output for ``seed``."""
+    _check_order(n)
     words = seed_stream(seed)
     for _ in range(count):
         yield random_tournament(n, next(words))

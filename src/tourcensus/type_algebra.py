@@ -7,9 +7,10 @@ backward arc.  Standard tuples contain no zeros and strictly alternate in
 sign; standard cycle tuples additionally have a single block or an even
 number of blocks, so the alternation closes up around the wrap.
 
-Zeros appear transiently in calculations (an empty block); the normalize
-functions remove them by merging the flanking blocks, which always point the
-same way in any reachable input.
+Zeros appear transiently in calculations (an empty block).  The normalize
+functions remove them under one rule: two consecutive nonzero entries must
+share a sign exactly when zeros lie between them, and those across zeros
+merge.  A cycle reads the rule around the wrap as well.
 
 A type is also read arc by arc as a sign word, an int with bit i set when
 arc i runs forward (``word_int((2, -1)) == 0b011``); ``_runs_from_word``
@@ -111,72 +112,54 @@ def check_standard_cycle(tup: Iterable[int]) -> SignedTuple:
     return t
 
 
+def _zero_free(seq: Sequence[int], cyclic: bool) -> list[int]:
+    """The nonzero entries of a raw tuple, once every two consecutive ones
+    share a sign exactly when zeros lie between them; for a cycle the pair
+    around the wrap is read too, when two or more entries remain."""
+    kept = [(i, x) for i, x in enumerate(seq) if x]
+    if not kept:
+        raise EmptyTypeError("all entries vanished")
+    pairs = list(zip(kept, kept[1:]))
+    if cyclic and len(kept) > 1:
+        pairs.append((kept[-1], kept[0]))
+    for (i, a), (j, b) in pairs:
+        zeros = (j - i) % len(seq) > 1  # the step from a to b; the wrap pair's runs around
+        if ((a > 0) == (b > 0)) != zeros:
+            raise IllFormedError(
+                f"zero elimination would merge opposite signs {a}, {b}" if zeros
+                else f"adjacent same-sign entries {a}, {b}")
+    return [x for _, x in kept]
+
+
+def _blocks(entries: Iterable[int], cyclic: bool) -> SignedTuple:
+    """Sum same-sign neighbours into one block; with ``cyclic`` the last
+    block also joins the first when the two share a sign."""
+    out: list[int] = []
+    for x in entries:
+        if out and (out[-1] > 0) == (x > 0):
+            out[-1] += x
+        else:
+            out.append(x)
+    if cyclic and len(out) > 1 and (out[0] > 0) == (out[-1] > 0):
+        out[0] += out.pop()
+    return tuple(out)
+
+
 def normalize_path(raw: Iterable[int]) -> SignedTuple:
     """Remove zero entries from a path tuple by merging across them.
 
-    Interior zeros merge their neighbors (which must share a sign); leading
-    and trailing zeros drop.  Adjacent same-sign nonzero entries are rejected
-    rather than merged: only an explicit zero licenses a merge.
+    Two consecutive nonzero entries must share a sign exactly when zeros lie
+    between them; those across zeros merge, and leading and trailing zeros
+    drop.
     """
-    seq = list(raw)
-    if not seq:
-        raise EmptyTypeError("empty path tuple")
-    for a, b in zip(seq, seq[1:]):
-        if a != 0 and b != 0 and (a > 0) == (b > 0):
-            raise IllFormedError(f"adjacent same-sign entries {a}, {b}")
-    out: list[int] = []
-    pending = False  # a zero was seen since the last entry kept
-    for x in seq:
-        if x == 0:
-            pending = bool(out)
-            continue
-        if pending:
-            if (x > 0) != (out[-1] > 0):
-                raise IllFormedError(
-                    f"zero elimination would merge opposite signs {out[-1]}, {x}"
-                )
-            out[-1] += x
-            pending = False
-        else:
-            out.append(x)
-    if not out:
-        raise EmptyTypeError("all entries vanished")
-    return check_standard_path(out)
+    return _blocks(_zero_free(tuple(raw), False), False)
 
 
 def normalize_cycle(raw: Iterable[int]) -> SignedTuple:
-    """Remove zero entries from a cycle tuple, wrap-aware.
-
-    A leading zero merges the second and last blocks, a trailing zero merges
-    the next-to-last block into the first; one-block leftovers close into a
-    circuit.  Merging opposite-sign nonzero blocks is an error.
-    """
-    seq = list(raw)
-    if not seq:
-        raise EmptyTypeError("empty cycle tuple")
-
-    def merge(a: int, b: int) -> int:
-        if a != 0 and b != 0 and (a > 0) != (b > 0):
-            raise IllFormedError(f"zero elimination would merge opposite signs {a}, {b}")
-        return a + b
-
-    while 0 in seq:
-        if len(seq) == 1:
-            raise EmptyTypeError("all entries vanished")
-        if len(seq) == 2:
-            other = seq[0] if seq[1] == 0 else seq[1]
-            if other == 0:
-                raise EmptyTypeError("all entries vanished")
-            seq = [other]  # lone surviving block closes into a circuit
-            continue
-        i = seq.index(0)
-        if i == 0:
-            seq = [merge(seq[1], seq[-1])] + seq[2:-1]
-        elif i == len(seq) - 1:
-            seq = [merge(seq[0], seq[-2])] + seq[1:-2]
-        else:
-            seq = seq[: i - 1] + [merge(seq[i - 1], seq[i + 1])] + seq[i + 2 :]
-    return check_standard_cycle(seq)
+    """Remove zero entries from a cycle tuple: the path rule read around the
+    wrap, so the last entry also merges into the first across zeros, and a
+    lone surviving entry closes into a circuit."""
+    return _blocks(_zero_free(tuple(raw), True), True)
 
 
 def is_symmetric(tup: Iterable[int]) -> bool:
@@ -321,21 +304,11 @@ def word_int(tup: Sequence[int]) -> int:
 
 
 def _runs_from_word(w: int, length: int) -> SignedTuple:
-    runs: list[int] = []
-    for i in range(length):
-        s = 1 if w >> i & 1 else -1
-        if runs and (runs[-1] > 0) == (s > 0):
-            runs[-1] += s
-        else:
-            runs.append(s)
-    return tuple(runs)
+    return _blocks((1 if w >> i & 1 else -1 for i in range(length)), False)
 
 
 def _cyclic_runs_from_word(w: int, length: int) -> SignedTuple:
-    runs = list(_runs_from_word(w, length))
-    if len(runs) > 1 and (runs[0] > 0) == (runs[-1] > 0):
-        runs = [runs[-1] + runs[0]] + runs[1:-1]
-    return tuple(runs)
+    return _blocks((1 if w >> i & 1 else -1 for i in range(length)), True)
 
 
 @lru_cache(maxsize=None)

@@ -46,9 +46,9 @@ from tourcensus import (
 )
 from tourcensus.census import (
     CensusReport, _Lanes, _advance, _f_from_words, _halved, _length_census,
-    _oracle_cycle_counts, _oracle_path_counts, _spanning_path_counts, _word_dp,
+    _oracle_cycle_counts, _oracle_path_counts, _per_cycle, _spanning_path_counts, _word_dp,
 )
-from tourcensus.errors import ParityViolationError
+from tourcensus.errors import DivisibilityViolationError, ParityViolationError
 from tourcensus.verifier import _runs
 
 TT3 = Tournament.parse("3:111")
@@ -290,6 +290,12 @@ def test_count_cycles_length_guard():
         count_cycles(C3, (1, -1, 1, -1))  # four arcs need four vertices
     with pytest.raises(TypeTooLongError):
         count_cycles(Tournament.parse("2:1"), (3,))
+
+
+def test_per_cycle_refuses_a_tally_its_readings_do_not_divide():
+    assert _per_cycle(6, (3,)) == 2  # a 3-circuit is read from each of its 3 starts
+    with pytest.raises(DivisibilityViolationError, match="4 closed readings of"):
+        _per_cycle(4, (3,))
 
 
 def test_halved_names_the_odd_lane():

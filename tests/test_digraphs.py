@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tourcensus import (
     CopyCounter,
     Digraph2Spec,
+    DivisibilityViolationError,
     IllFormedError,
     ParseError,
     Tournament,
@@ -216,6 +217,15 @@ def test_counts_match_count_per_pattern():
 def test_counts_reject_patterns_larger_than_the_host():
     with pytest.raises(TypeTooLongError):
         CopyCounter(TT3).counts([Digraph2Spec.parse("P(1)"), Digraph2Spec.parse("C(4)")])
+
+
+def test_count_refuses_placements_the_repetitions_do_not_divide(monkeypatch):
+    # a faulty table source answers the two lookups of the repeated arc
+    # component differently, so one ordered placement is left for 2! orders
+    answers = iter([{0b0011: 1}, {0b1100: 1}])
+    monkeypatch.setattr(CopyCounter, "_table", lambda self, comp: next(answers))
+    with pytest.raises(DivisibilityViolationError, match="1 ordered placements not divisible by 2"):
+        CopyCounter(TT4).count(Digraph2Spec.parse("P(1);P(1)"))
 
 
 def test_pattern_invariants_fixed_at_construction():

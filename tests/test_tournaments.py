@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,19 @@ def test_pair_index_layout():
     n = 5
     seen = [pair_index(i, j, n) for i in range(n) for j in range(i + 1, n)]
     assert seen == list(range(n * (n - 1) // 2))
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (2, 2), (-1, 2), (0, 5)])
+def test_pair_index_rejects_bad_pairs(i, j):
+    with pytest.raises(ValueError, match="bad pair"):
+        pair_index(i, j, 5)
+
+
+def test_has_arc_is_false_off_the_vertex_set():
+    T = transitive(3)
+    assert not T.has_arc(0, 3)
+    assert not T.has_arc(-1, 2)
+    assert not T.has_arc(1, 1)
 
 
 def test_arc_semantics():
@@ -200,6 +214,31 @@ def test_max_order_cap():
         Tournament(17, 0)
     with pytest.raises(ValueError):
         Tournament(3, 8)  # only 3 relation bits exist at order 3
+
+
+@pytest.mark.parametrize("n", [6000, -6000, 17, -1])
+def test_random_order_refused_before_any_draw(monkeypatch, n):
+    def refuse(seed):
+        raise AssertionError("drew a random word for an unsupported order")
+
+    monkeypatch.setattr("tourcensus.tournaments.seed_stream", refuse)
+    message = f"order {n} outside supported range 0..16"
+    with pytest.raises(ScopeTooLargeError, match=re.escape(message)):
+        random_tournament(n, 0)
+    with pytest.raises(ScopeTooLargeError, match=re.escape(message)):
+        next(random_tournaments(n, 0, 1))
+
+
+@pytest.mark.parametrize("n", [20000, -20000])
+def test_transitive_order_refused_before_the_relation_is_built(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScopeTooLargeError, match="outside supported range"):
+            transitive(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the order-20000 relation alone is about 25 MB
 
 
 def test_readme_serialization_example():

@@ -1,5 +1,7 @@
 """Unit tests for signed block tuple arithmetic."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +35,7 @@ from tourcensus import (
     symmetric_tuples,
     word_int,
 )
-from tourcensus.type_algebra import _runs_from_word
+from tourcensus.type_algebra import _cyclic_runs_from_word, _runs_from_word
 
 
 def standard_paths(max_sum=6):
@@ -166,6 +168,60 @@ def test_normalize_cycle_rejects_bad_input():
 @given(standard_cycles())
 def test_normalize_cycle_fixed_point(beta):
     assert normalize_cycle(beta) == beta
+
+
+def _outcome(normalize, raw):
+    try:
+        return normalize(raw)
+    except (EmptyTypeError, IllFormedError) as exc:
+        return type(exc)
+
+
+def test_path_and_cycle_agree_when_the_ends_fix_the_wrap():
+    # nonzero ends of opposite sign: the wrap pair passes and merges nothing
+    checked = 0
+    for length in range(2, 7):
+        for raw in product(range(-3, 4), repeat=length):
+            if raw[0] * raw[-1] < 0:
+                checked += 1
+                assert _outcome(normalize_cycle, raw) == _outcome(normalize_path, raw), raw
+    assert checked == 50418
+
+
+def test_zeroing_a_one_arc_block_deletes_that_arc_from_the_word():
+    inputs = 0
+    for kind, normalize, runs in (("path", normalize_path, _runs_from_word),
+                                  ("cycle", normalize_cycle, _cyclic_runs_from_word)):
+        for m in range(2, 9):
+            for tup in standard_tuples(m, kind):
+                w, k = word_int(tup), 0
+                for i, x in enumerate(tup):
+                    if abs(x) == 1:
+                        inputs += 1
+                        rest = w & ((1 << k) - 1) | w >> (k + 1) << k
+                        assert normalize(tup[:i] + (0,) + tup[i + 1:]) == runs(rest, m - 1)
+                    k += abs(x)
+    assert inputs == 1726
+
+
+@pytest.mark.parametrize("raw, path, cycle", [
+    ((1, 0, 0, 1), (2,), IllFormedError),  # around the wrap 1, 1 are side by side
+    ((-3, 0, 0, 1), IllFormedError, IllFormedError),  # zeros cancel nothing
+    ((-3, -3, 0), IllFormedError, IllFormedError),  # no zero between the two
+    ((0, 0, -3, 1), (-3, 1), IllFormedError),  # around the wrap 1, -3 lie across zeros
+])
+def test_one_zero_rule_examples(raw, path, cycle):
+    assert _outcome(normalize_path, raw) == path
+    assert _outcome(normalize_cycle, raw) == cycle
+
+
+def test_zero_rule_errors_name_the_raw_entries():
+    with pytest.raises(IllFormedError, match="opposite signs 2, -1"):
+        normalize_path((1, 0, 2, 0, -1))
+    with pytest.raises(IllFormedError, match="same-sign entries -3, -3"):
+        normalize_cycle((-3, -3, 0))
+    with pytest.raises(IllFormedError, match="opposite signs 1, -3"):
+        normalize_cycle((0, 0, -3, 1))
 
 
 # --- symmetry and canonical forms -------------------------------------------
