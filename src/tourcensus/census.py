@@ -240,6 +240,9 @@ class _Lanes:
         return Tournament(self.T.n, self.T.bits ^ i) if i else self.T
 
     def unpack(self, value: int) -> list[int]:
+        """Each lane's count; one lane's is the value itself, never masked."""
+        if self.count == 1:
+            return [value]
         full = (1 << self.width) - 1
         return [value >> self.width * i & full for i in range(self.count)]
 

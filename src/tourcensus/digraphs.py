@@ -195,7 +195,8 @@ class CopyCounter:
 
     def counts(self, patterns: list[Digraph2Spec]) -> list[int]:
         """Copy counts of every pattern, in order."""
-        missing = dict.fromkeys(c for H in patterns for c in H.core() if c not in self._tables)
+        missing = dict.fromkeys(c for H in patterns if H.order <= self.T.n
+                                for c in H.core() if c not in self._tables)
         self._tables.update(_span_tables(self.T, tuple(missing)))
         return [self.count(H) for H in patterns]
 

@@ -358,11 +358,8 @@ def symmetric_tuples(max_total: int) -> tuple[SignedTuple, ...]:
     A symmetric tuple is a standard half followed by that half's negated
     reversal, so the arc sum is always even.
     """
-    out = []
-    for half_sum in range(1, max_total // 2 + 1):
-        for half in standard_tuples(half_sum, "path"):
-            out.append(half + neg_reverse(half))
-    return tuple(sorted(out, key=lambda t: (arc_sum(t), _tuple_key(t))))
+    return tuple(t for m in range(2, max_total + 1, 2)
+                 for t in standard_tuples(m, "path") if is_symmetric(t))
 
 
 def format_type(tup: Iterable[int]) -> str:

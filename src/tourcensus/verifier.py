@@ -199,8 +199,8 @@ def _runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
             yield lanes.T.bits, lanes
 
 
-# (key, packed lhs, packed rhs[, verdict]): sides are equal unless a verdict
-# (one lane only) says otherwise
+# (key, lhs, rhs): integer sides, packed one lane per tournament; a lane fails
+# where its two sides differ
 _Comparison = tuple
 
 
@@ -212,10 +212,10 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
     Only a failing comparison has ``describe`` turn its key into record
     fields.  It gives one record per failing lane: the lane's tournament,
     those fields, the lane's sides and, on a random scope, its sample.
-    Packed sides are unpacked only where they differ; the sides of a single
-    lane pass through as they are.  Records are kept in scope order, by the
-    lane's index and then the order ``compare`` gave them, whatever order the
-    runs come in, so the capped list matches a loop over single tournaments.
+    Packed sides are unpacked only where they differ, a single lane to its
+    own value.  Records are kept in scope order, by the lane's index and then
+    the order ``compare`` gave them, whatever order the runs come in, so the
+    capped list matches a loop over single tournaments.
     """
     checked, seen = 0, 0
     kept: list[tuple[int, int, dict]] = []  # the records of the smallest keys so far
@@ -224,17 +224,14 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
         runs = ((start ^ i, _Lanes(run.tournament(i)))
                 for start, run in runs for i in range(run.count))
     for index, lanes in runs:
-        for key, lhs, rhs, *verdict in compare(lanes):
+        for key, lhs, rhs in compare(lanes):
             checked += lanes.count
-            if verdict[0] if verdict else lhs == rhs:
+            if lhs == rhs:
                 continue
             fields = describe(key)
-            if lanes.count == 1:
-                failing = [(0, lhs, rhs)]
-            else:
-                failing = [(i, a, b) for i, (a, b)
-                           in enumerate(zip(lanes.unpack(lhs), lanes.unpack(rhs))) if a != b]
-            for i, a, b in failing:
+            for i, (a, b) in enumerate(zip(lanes.unpack(lhs), lanes.unpack(rhs))):
+                if a == b:
+                    continue
                 record = {"tournament": lanes.tournament(i).serialize(), **fields,
                           "lhs": a, "rhs": b}
                 if scope.is_random:
@@ -385,8 +382,9 @@ def _check_eqsym(scope: Scope, _):
             if len(alpha) % 2 == 0:
                 a = sets.get(first, frozenset())
                 b = sets.get(second, frozenset())
-                # coinciding types must own the same cycles, distinct ones none in common
-                yield (alpha, first, second), len(a), len(b), (a == b) if coincide else not (a & b)
+                # cycles breaking the rule, against 0: coinciding types own equal sets,
+                # distinct ones disjoint sets
+                yield (alpha, first, second), len(a ^ b if coincide else a & b), 0
 
     checked, records, _ = _sweep(scope, compare, describe, single=True)
     return len(types) + checked, (violations + records)[:_VIOLATION_CAP], None

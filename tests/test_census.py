@@ -309,6 +309,27 @@ def test_halved_names_the_odd_lane():
     assert lanes.unpack(_halved(packed - (1 << 2 * lanes.width), (3,), lanes)) == [1, 2, 3, 3]
 
 
+def test_a_single_lane_unpacks_to_its_own_value():
+    (T,) = random_tournaments(5, 3, 1)
+    lanes = _Lanes(T)
+    assert lanes.width == 7  # 5! fits in 7 bits, a single count need not
+    assert lanes.unpack(1 << 40) == [1 << 40]
+
+
+def test_closed_walk_over_every_word_reads_each_cycle_from_its_lowest_vertex():
+    # only _length_census relies on this: a walk over every word from s sees
+    # the subtournament on s..n-1, where the same word list walked from its
+    # vertex 0 may use every vertex
+    for n in (6, 7):
+        for T in random_tournaments(n, 50 + n, 2):
+            for m in range(3, n + 1):
+                every = [(m, w) for w in range(1 << m)]
+                for s in range(n - m + 1):
+                    listed = _word_dp(T.induced(range(s, n)), (0,), words=every, closed=True)
+                    assert (_word_dp(T, (s,), m, closed=True)
+                            == {w: c for (_, w), c in listed.items()}), (T.serialize(), m, s)
+
+
 @given(random_small(5))
 @settings(max_examples=25, deadline=None)
 def test_census_matches_oracle(T):

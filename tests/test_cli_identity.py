@@ -29,10 +29,16 @@ def test_every_property_runs_on_every_scope():
         orders = [c[c.index("--order") + 1] for c in mine if "--exhaustive" in c
                   and "--max-arc-sum" not in c]
         assert orders == [str(n) for n in range(6)], pid
-        orders = [c[c.index("--order") + 1] for c in mine if "--random" in c]
+        orders = [c[c.index("--order") + 1] for c in mine if "--random" in c
+                  and "--max-arc-sum" not in c]
         assert orders == ["0", "1", "2", "3", "7", "9"], pid
         assert all(c[-4:] == ("--samples", "3", "--seed", "11") for c in mine if "--random" in c)
-        assert sum("--max-arc-sum" in c for c in mine) == 1, pid
+        bounded = [c[5:] for c in mine if "--max-arc-sum" in c]
+        assert bounded == [
+            ("--exhaustive", "--order", "4", "--max-arc-sum", "2"),
+            ("--exhaustive", "--order", "6", "--max-arc-sum", "5"),
+            ("--random", "--order", "9", "--max-arc-sum", "7", "--samples", "3", "--seed", "11"),
+        ], pid
 
 
 def test_fixed_calls_cover_every_subcommand_and_the_public_names():

@@ -219,6 +219,26 @@ def test_counts_reject_patterns_larger_than_the_host():
         CopyCounter(TT3).counts([Digraph2Spec.parse("P(1)"), Digraph2Spec.parse("C(4)")])
 
 
+@pytest.mark.parametrize("oversize", ["P(3000)", "C(40000)"])
+@pytest.mark.parametrize("before", [[], ["P(1)"]], ids=["alone", "after-a-fitting-one"])
+def test_counts_refuse_a_huge_pattern_before_building_its_tables(before, oversize):
+    # its tables would take one trie level per arc; only count's check runs
+    (T,) = random_tournaments(5, 4, 1)
+    specs = [Digraph2Spec.parse(text) for text in before + [oversize]]
+    order = specs[-1].order
+    with pytest.raises(TypeTooLongError, match=f"pattern needs {order} vertices, host has 5"):
+        CopyCounter(T).counts(specs)
+
+
+def test_counts_of_fitting_patterns_are_unchanged_by_an_oversize_neighbour():
+    (T,) = random_tournaments(5, 4, 1)
+    specs = [Digraph2Spec.parse(text) for text in ("P(1)", "C(1,-2)", "P(2,-1);V")]
+    counter = CopyCounter(T)
+    with pytest.raises(TypeTooLongError):
+        counter.counts(specs + [Digraph2Spec.parse("P(3000)")])
+    assert counter.counts(specs) == [count_copies(T, spec) for spec in specs]
+
+
 def test_count_refuses_placements_the_repetitions_do_not_divide(monkeypatch):
     # a faulty table source answers the two lookups of the repeated arc
     # component differently, so one ordered placement is left for 2! orders

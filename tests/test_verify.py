@@ -415,7 +415,7 @@ def _eqsym_sets_fault(monkeypatch, scope, faulty):
             if len(alpha) % 2 == 0 and not coincide:
                 yield {"type": format_type(alpha), "first": format_type(first),
                        "second": format_type(second),
-                       "lhs": len(sets.get(first, ())) + 1, "rhs": len(sets.get(second, ())) + 1}
+                       "lhs": 1, "rhs": 0}  # the one shared cycle, against none
     return records_of
 
 
@@ -687,6 +687,16 @@ def test_h_invariance_random_scope_counts_both_hosts_per_sample(monkeypatch):
 
 def _flaky(T):
     return T.bits % 5 == 3
+
+
+def test_sweep_records_a_single_lane_side_wider_than_the_lane_width():
+    # a random scope comes one lane per tournament, and its sides are exact
+    scope = Scope(mode="random", order=3, samples=4, seed=7)
+    checked, records, _ = verify_mod._sweep(
+        scope, lambda lanes: [(None, 1 << 40, 0)], lambda _: {})
+    assert checked == 4
+    assert [(r["sample"], r["lhs"], r["rhs"]) for r in records] == [
+        (i, 1 << 40, 0) for i in range(4)]
 
 
 def _two_checks(lanes):

@@ -8,7 +8,8 @@ names another revision.  Both revisions are exported from git with
 Every call runs once per side as ``python3 ARGS`` with ``PYTHONPATH`` set to
 that side's ``src``, and its stdout, stderr and exit code are compared byte
 for byte.  The calls are the fixed list ``fixed_calls()`` (every property on
-small exhaustive and random scopes, the arc-sum bound, an unknown id,
+small exhaustive and random scopes, arc-sum bounds below the spanning
+sum at orders 4, 6 and 9, an unknown id,
 ``census``, ``gen`` and ``hcount``, and one call that prints the sorted
 ``tourcensus.__all__``, so a dropped public name shows as a difference) and
 every benchmark call of ``BENCH_SEEDS``, with the inputs that the change's
@@ -34,6 +35,11 @@ PUBLIC_NAMES = ("-c", "import tourcensus; print(*sorted(tourcensus.__all__))")
 EXHAUSTIVE_ORDERS = tuple(range(6))
 RANDOM_ORDERS = (0, 1, 2, 3, 7, 9)
 RANDOM = ("--samples", "3", "--seed", "11")
+ARC_SUM_SCOPES = (  # shorter arc sums, the last two from order 5 up
+    ("--exhaustive", "--order", "4", "--max-arc-sum", "2"),
+    ("--exhaustive", "--order", "6", "--max-arc-sum", "5"),
+    ("--random", "--order", "9", "--max-arc-sum", "7", *RANDOM),
+)
 BENCH_SEEDS = (1, 7)
 HOST7 = "7:001011010010000111101"
 HOST5 = "5:1101001110"
@@ -46,7 +52,7 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
         verify = (*CLI, "verify", "--property", pid)
         calls += [(*verify, "--exhaustive", "--order", str(n)) for n in EXHAUSTIVE_ORDERS]
         calls += [(*verify, "--random", "--order", str(n), *RANDOM) for n in RANDOM_ORDERS]
-        calls.append((*verify, "--exhaustive", "--order", "4", "--max-arc-sum", "2"))
+        calls += [(*verify, *scope) for scope in ARC_SUM_SCOPES]
     calls += [
         (*CLI, "verify", "--property", "no-such-property", "--exhaustive", "--order", "3"),
         (*CLI, "census", "--order", "5", "--tournament", HOST5),
