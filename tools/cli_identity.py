@@ -8,9 +8,9 @@ names another revision.  Both revisions are exported from git with
 Every call runs once per side as ``python3 ARGS`` with ``PYTHONPATH`` set to
 that side's ``src``, and its stdout, stderr and exit code are compared byte
 for byte.  The calls are the fixed list ``fixed_calls()`` (every property on
-small exhaustive and random scopes, arc-sum bounds below the spanning
-sum at orders 4, 6 and 9, an unknown id,
-``census``, ``gen`` and ``hcount``, and one call that prints the sorted
+small exhaustive and random scopes and with arc-sum bounds below the spanning
+sum at orders 4, 6 and 9, an unknown id, ``census``, ``gen`` and
+``hcount``, and one call that prints the sorted
 ``tourcensus.__all__``, so a dropped public name shows as a difference) and
 every benchmark call of ``BENCH_SEEDS``, with the inputs that the change's
 ``perfbench/workloads.py`` writes.  Prints each call that differs and a
