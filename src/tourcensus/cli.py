@@ -17,10 +17,11 @@ import io
 import json
 import os
 import sys
+from typing import Iterator
 
 from .census import census
 from .digraphs import Digraph2Spec, check_complement_invariance, count_copies
-from .errors import ScopeTooLargeError, TourCensusError
+from .errors import ParseError, ScopeTooLargeError, TourCensusError
 from .tournaments import (
     EXHAUSTIVE_HARD_MAX,
     EXHAUSTIVE_MAX_ORDER,
@@ -112,6 +113,21 @@ def _require_order(T: Tournament, order: int, where: str) -> None:
         raise TourCensusError(f"{where} has order {T.n}, --order says {order}")
 
 
+def _utf8_lines(data: bytes) -> Iterator[str]:
+    """The lines of ``data`` decoded from UTF-8, split where a file opened
+    with ``newline=""`` splits them: at ``\n``, ``\r\n`` and a lone ``\r``.
+    A line that is not UTF-8 raises ``ParseError`` with its number and the
+    offending byte's offset in ``data``."""
+    offset = 0
+    for number, line in enumerate(data.splitlines(keepends=True), 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {number}: not UTF-8, {exc.reason}",
+                             offset + exc.start) from None
+        offset += len(line)
+
+
 def _cmd_census(args) -> tuple[int, dict]:
     _random_only(args, seed=0)
     if args.tournament is not None:
@@ -119,8 +135,8 @@ def _cmd_census(args) -> tuple[int, dict]:
         _require_order(T, args.order, "the given tournament")
         return 0, {"schema": 1, **_census_doc(T)}
     if args.input is not None:
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            ts = load_tournaments(fh)
+        with open(args.input, "rb") as fh:
+            ts = load_tournaments(_utf8_lines(fh.read()))
         reports = []
         for i, T in enumerate(ts):
             _require_order(T, args.order, f"tournament {i} in {args.input}")

@@ -138,9 +138,12 @@ def parse(text: str) -> Tournament:
     head = text[:colon]
     if not (head.isascii() and head.isdigit()):
         raise ParseError(f"bad order {head!r}", 0)
-    n = int(head)
-    if n > MAX_ORDER:
-        raise ParseError(f"order {n} exceeds supported maximum {MAX_ORDER}", 0)
+    digits = head.lstrip("0") or "0"
+    # a long order is refused unconverted: int() caps the digits it converts
+    if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+        shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+        raise ParseError(f"order {shown} exceeds supported maximum {MAX_ORDER}", 0)
+    n = int(digits)
     body = text[colon + 1 :]
     m = n * (n - 1) // 2
     if len(body) != m:
@@ -204,10 +207,17 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside splitmix64's 64-bit state rather than reduce it."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed outside supported range 0..{_MASK64}")
+
+
 def seed_stream(seed: int) -> Iterator[int]:
-    """The splitmix64 output stream for ``seed``: the package's only
-    randomness source, fixed here for reproducibility."""
-    state = seed & _MASK64
+    """The splitmix64 output stream for ``seed``, in 0..2^64-1: the package's
+    only randomness source, fixed here for reproducibility."""
+    _check_seed(seed)
+    state = seed
     while True:
         state, word = _splitmix64(state)
         yield word

@@ -20,8 +20,8 @@ splits a word back into blocks, and every inventory here is built from words.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyTypeError, IllFormedError, ParseError
 
@@ -29,6 +29,7 @@ SignedTuple = tuple[int, ...]
 
 _SPACE = " \t\n\r\f\v"
 _INTEGER = re.compile(r"-?[0-9]+")
+_MAX_DIGITS = 640  # int() converts this many digits under any sys.set_int_max_str_digits
 
 __all__ = [
     "SignedTuple",
@@ -61,6 +62,13 @@ __all__ = [
     "parse_type",
     "format_type",
 ]
+
+
+def _memo(fn: Callable[[SignedTuple], object]) -> Callable[[Iterable[int]], object]:
+    """``fn`` of one block tuple, taking any iterable of ints, with a cache
+    sized for every standard tuple of arc sum <= 16."""
+    cached = lru_cache(maxsize=1 << 16)(fn)
+    return wraps(fn)(lambda tup: cached(tuple(tup)))
 
 
 def arc_sum(tup: Iterable[int]) -> int:
@@ -197,15 +205,9 @@ def cycle_orbit(beta: Iterable[int]) -> list[SignedTuple]:
     return sorted(seen, key=_tuple_key)
 
 
-def cycle_canonical(beta: Iterable[int]) -> SignedTuple:
-    return _cycle_canonical(tuple(beta))
-
-
-# caches of pure type functions, sized for every standard tuple of arc sum <= 16;
-# whole orbits are not kept, as they would hold several times the memory
-@lru_cache(maxsize=1 << 16)
-def _cycle_canonical(beta: SignedTuple) -> SignedTuple:
-    return cycle_orbit(beta)[0]
+@_memo
+def cycle_canonical(beta: SignedTuple) -> SignedTuple:
+    return cycle_orbit(beta)[0]  # the orbit itself is not kept: several times the memory
 
 
 def cycle_type_symmetric(beta: Iterable[int]) -> bool:
@@ -219,17 +221,13 @@ class PeriodInfo(NamedTuple):
     t: int  # number of similar-block groups, len(tuple) // r
 
 
-def period_info(tup: Iterable[int]) -> PeriodInfo:
+@_memo
+def period_info(t: SignedTuple) -> PeriodInfo:
     """Least cyclic period of the block tuple and the derived repetition count.
 
     The minimum always divides the length, but every offset is scanned so the
     definition is applied literally.
     """
-    return _period_info(tuple(tup))
-
-
-@lru_cache(maxsize=1 << 16)
-def _period_info(t: SignedTuple) -> PeriodInfo:
     if not t:
         raise EmptyTypeError("empty tuple has no period")
     s = len(t)
@@ -239,14 +237,10 @@ def _period_info(t: SignedTuple) -> PeriodInfo:
     raise AssertionError("unreachable: s is always a period")
 
 
-def delta(gamma: Iterable[int]) -> int:
+@_memo
+def delta(gamma: SignedTuple) -> int:
     """Class-size multiplier for a cycle type: the cycle's arc count for a
     circuit, 2 for a direction-symmetric type, 1 otherwise."""
-    return _delta(tuple(gamma))
-
-
-@lru_cache(maxsize=1 << 16)
-def _delta(gamma: SignedTuple) -> int:
     g = check_standard_cycle(gamma)
     if len(g) == 1:
         return abs(g[0])  # arc count divided by t, and t = 1 for circuits
@@ -390,6 +384,9 @@ def parse_type(text: str) -> SignedTuple:
         token = piece.strip(_SPACE)
         if not _INTEGER.fullmatch(token):
             raise ParseError(f"bad integer {token!r}", offset)
+        digits = len(token.lstrip("-"))
+        if digits > _MAX_DIGITS:
+            raise ParseError(f"integer of {digits} digits is too long", offset)
         entries.append(int(token))
         offset += len(piece) + 1
     return tuple(entries)

@@ -39,6 +39,7 @@ from .tournaments import (
     EXHAUSTIVE_HARD_MAX,
     EXHAUSTIVE_MAX_ORDER,
     Tournament,
+    _check_seed,
     all_tournaments,
     random_tournaments,
     seed_stream,
@@ -109,6 +110,7 @@ class Scope:
                 )
             if self.allow_large:
                 raise ValueError("allow_large only applies to exhaustive scopes")
+            _check_seed(self.seed)
             if self.samples < 1:
                 raise ValueError("random scope needs samples >= 1")
             if self.samples > RANDOM_MAX_SAMPLES:
@@ -204,22 +206,28 @@ def _runs(scope: Scope) -> Iterator[tuple[int, _Lanes]]:
 _Comparison = tuple
 
 
-def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
-           describe: Callable[[object], dict], single: bool = False):
-    """Run ``compare`` on every run of the scope, or with ``single`` on each
-    of its tournaments alone, and tally its comparisons lane by lane.
+def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]] | None,
+           describe: Callable[[object], dict], single: bool = False,
+           statements: Iterable[_Comparison] = ()):
+    """Tally the type-arithmetic ``statements``, then run ``compare`` (if
+    any) on every run of the scope, or with ``single`` on each of its
+    tournaments alone, and tally its comparisons lane by lane.
 
     Only a failing comparison has ``describe`` turn its key into record
-    fields.  It gives one record per failing lane: the lane's tournament,
-    those fields, the lane's sides and, on a random scope, its sample.
-    Packed sides are unpacked only where they differ, a single lane to its
-    own value.  Records are kept in scope order, by the lane's index and then
-    the order ``compare`` gave them, whatever order the runs come in, so the
-    capped list matches a loop over single tournaments.
+    fields.  A statement's record is those fields and its sides; a run gives
+    one per failing lane, with the lane's tournament, its sides (a single
+    lane unpacks to its own value) and, on a random scope, its sample.
+    Statement records come first, in their order, then the rest in scope
+    order, by the lane's index and then the order ``compare`` gave them,
+    whatever order the runs come in, so the capped list matches a loop over
+    single tournaments.
     """
-    checked, seen = 0, 0
-    kept: list[tuple[int, int, dict]] = []  # the records of the smallest keys so far
-    runs = _runs(scope)
+    statements = tuple(statements)
+    checked, seen = len(statements), 0
+    # the records of the smallest keys so far, failing statements first
+    kept = [(-1, k, {**describe(key), "lhs": lhs, "rhs": rhs})
+            for k, (key, lhs, rhs) in enumerate(statements) if lhs != rhs]
+    runs = () if compare is None else _runs(scope)
     if single:
         runs = ((start ^ i, _Lanes(run.tournament(i)))
                 for start, run in runs for i in range(run.count))
@@ -240,11 +248,15 @@ def _sweep(scope: Scope, compare: Callable[[_Lanes], Iterable[_Comparison]],
                 kept.append((index ^ i, seen, record))
                 if len(kept) > _VIOLATION_CAP:
                     kept.remove(max(kept))
-    return checked, [record for *_, record in sorted(kept)], None
+    return checked, [record for *_, record in sorted(kept)[:_VIOLATION_CAP]], None
 
 
 def _type_field(alpha: SignedTuple) -> dict:
     return {"type": format_type(alpha)}
+
+
+def _type_and_cycle(key: tuple[SignedTuple, SignedTuple]) -> dict:
+    return {"type": format_type(key[0]), "cycle_type": format_type(key[1])}
 
 
 def _both_ways(scope: Scope) -> Callable:
@@ -352,10 +364,7 @@ def _check_class_sizes(scope: Scope, _):
                 beta = cls.cycle_type
                 yield (alpha, beta), len(cls.paths), delta(beta) * period_info(beta).t
 
-    def describe(key) -> dict:
-        return {"type": format_type(key[0]), "cycle_type": format_type(key[1])}
-
-    return _sweep(scope, compare, describe, single=True)
+    return _sweep(scope, compare, _type_and_cycle, single=True)
 
 
 def _check_eqsym(scope: Scope, _):
@@ -372,10 +381,6 @@ def _check_eqsym(scope: Scope, _):
         return {"type": format_type(alpha), "first": format_type(first),
                 "second": format_type(second)}
 
-    # the type check: its records carry no tournament and come first
-    violations = [{**describe(key), "lhs": coincide, "rhs": is_symmetric(key[0])}
-                  for *key, coincide in types if coincide != is_symmetric(key[0])]
-
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         sets = oracle_cycle_sets(lanes.T)
         for alpha, first, second, coincide in types:
@@ -386,8 +391,9 @@ def _check_eqsym(scope: Scope, _):
                 # distinct ones disjoint sets
                 yield (alpha, first, second), len(a ^ b if coincide else a & b), 0
 
-    checked, records, _ = _sweep(scope, compare, describe, single=True)
-    return len(types) + checked, (violations + records)[:_VIOLATION_CAP], None
+    return _sweep(scope, compare, describe, single=True, statements=(
+        ((alpha, first, second), coincide, is_symmetric(alpha))
+        for alpha, first, second, coincide in types))
 
 
 def _check_count_formula(scope: Scope, _):
@@ -423,15 +429,10 @@ def _check_t_one(scope: Scope, _):
     """Symmetric path types close into cycles with trivial repetition (t = 1).
 
     Pure type arithmetic: the scope contributes only the arc-sum bound."""
-    checked, violations = 0, []
-    for alpha in symmetric_tuples(scope.order - 1):
-        first, _, _ = generated_cycle_types(alpha)
-        t = period_info(first).t
-        checked += 1
-        if t != 1:
-            violations.append({"type": format_type(alpha), "cycle_type": format_type(first),
-                               "lhs": t, "rhs": 1})
-    return checked, violations[:_VIOLATION_CAP], None
+    firsts = ((alpha, generated_cycle_types(alpha).first)
+              for alpha in symmetric_tuples(scope.order - 1))
+    return _sweep(scope, None, _type_and_cycle,
+                  statements=((key, period_info(key[1]).t, 1) for key in firsts))
 
 
 def _check_h_invariance(scope: Scope, _):

@@ -79,6 +79,43 @@ def test_census_input_error_offset_is_in_the_file(capsys, tmp_path, data, line, 
     assert data[offset:offset + 1] == b"x"
 
 
+@pytest.mark.parametrize("data, line, offset", [
+    (b"3:111\n3:1\xff1\n", 2, 9),
+    (b"3:111\n" * 2000 + b"3:1\xff1\n", 2001, 12003),  # past the first decode chunk
+    (b"3:111\r3:1\xff1\r3:111\r", 2, 9),  # lone CR endings
+    (b"# \xc3\xa9\r\n3:1\xe2\x82\r\n", 2, 9),  # a cut-off sequence after a good one
+])
+def test_census_input_that_is_not_utf8_names_its_line_and_byte(capsys, tmp_path, data, line,
+                                                                offset):
+    path = tmp_path / "ts.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "census", "--order", "3", "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: line {line}: not UTF-8, ")
+    assert err.endswith(f" (byte {offset})\n") and err.count("\n") == 1
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data[offset:].decode("utf-8")
+    assert exc.value.start == 0  # the offset is where the bad sequence starts
+
+
+def test_census_input_lines_split_as_the_file_reader_splits_them(capsys, tmp_path):
+    # CRLF, lone CR and LF endings; a form feed, NEL and U+2028 in comments end no line
+    data = "# \u00e9\x0c\r\n3:111\r3:000\n# \x85 \u2028 3:1x1\n\n  3:101  \r\n3:010"
+    path = tmp_path / "ts.txt"
+    path.write_bytes(data.encode())
+    code, doc = run_json(capsys, "census", "--order", "3", "--input", str(path))
+    assert code == 0
+    assert [r["tournament"] for r in doc["reports"]] == ["3:111", "3:000", "3:101", "3:010"]
+
+
+def test_census_input_long_order_names_its_line(capsys, tmp_path):
+    path = tmp_path / "ts.txt"
+    path.write_text("3:111\n" + "9" * 5000 + ":\n", encoding="utf-8")
+    code, out, err = run(capsys, "census", "--order", "3", "--input", str(path))
+    assert code == 2 and not out
+    assert err == "error: line 2: order of 5000 digits exceeds supported maximum 16 (byte 6)\n"
+
+
 def test_census_missing_input_file(capsys, tmp_path):
     code, out, err = run(capsys, "census", "--order", "3", "--input", str(tmp_path / "no"))
     assert code == 2 and not out
@@ -226,6 +263,13 @@ def test_hcount_bad_integer_offset_given_once(capsys):
     assert err.count("(byte") == 1 and "(byte 6)" in err
 
 
+def test_hcount_long_integer_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "hcount", "--tournament", "3:111",
+                         "--digraph", "P(" + "1" * 5000 + ")")
+    assert code == 2 and not out
+    assert err == "error: integer of 5000 digits is too long (byte 2)\n"
+
+
 # --- gen ------------------------------------------------------------------------
 
 def test_gen_all(capsys):
@@ -256,6 +300,19 @@ def test_gen_feeds_census(capsys, tmp_path):
     path.write_text("\n".join(doc["tournaments"]) + "\n", encoding="utf-8")
     code, out = run_json(capsys, "census", "--order", "4", "--input", str(path))
     assert code == 0 and len(out["reports"]) == 4
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_gen_refuses_a_seed_outside_64_bits(capsys, seed):
+    code, out, err = run(capsys, "gen", "--random", "--order", "4", "--seed", seed)
+    assert code == 2 and not out
+    assert err == "error: seed outside supported range 0..18446744073709551615\n"
+
+
+def test_gen_largest_seed_draws(capsys):
+    code, doc = run_json(capsys, "gen", "--random", "--order", "4",
+                         "--seed", "18446744073709551615")
+    assert code == 0 and doc["tournaments"] == ["4:111011"]
 
 
 def test_gen_bad_count(capsys):

@@ -2,6 +2,7 @@
 
 import io
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -144,6 +145,29 @@ def test_induced_subset_handling():
         T.induced([0, 9])
 
 
+@pytest.mark.parametrize("head, shown", [
+    ("9" * 5000, "of 5000 digits"),
+    ("0" * 5000 + "17", "17"),
+    ("123", "123"),
+])
+def test_parse_refuses_a_long_order_unconverted(head, shown):
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(640)  # the smallest limit an interpreter accepts
+    try:
+        with pytest.raises(ParseError) as exc:
+            Tournament.parse(head + ":")
+    finally:
+        set_limit(old)
+    assert str(exc.value) == f"order {shown} exceeds supported maximum 16 (byte 0)"
+    assert Tournament.parse("0" * 5000 + "3:111") == Tournament.parse("3:111")
+
+
+def test_load_tournaments_names_the_line_of_a_long_order():
+    with pytest.raises(ParseError, match=r"^line 2: order of 5000 digits exceeds"):
+        load_tournaments(["3:111\n", "9" * 5000 + ":\n"])
+
+
 def test_load_tournaments_skips_blank_and_comments():
     lines = ["# header", "", "3:111", "  3:101  ", "# done"]
     ts = load_tournaments(lines)
@@ -190,6 +214,23 @@ def test_seed_stream_is_splitmix64():
     assert next(s) == 0xE220A8397B1DCDAF
     assert next(s) == 0x6E789E6AA1B965F4
     assert next(s) == 0x06C45D188009454F
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64), 1 << 200])
+def test_seed_stream_refuses_a_seed_outside_64_bits_on_its_first_draw(seed):
+    stream = seed_stream(seed)
+    with pytest.raises(ValueError, match=r"^seed outside supported range "
+                                         r"0\.\.18446744073709551615$"):
+        next(stream)
+
+
+def test_seed_stream_draws_from_the_largest_seed():
+    top = (1 << 64) - 1
+    first = next(seed_stream(top))
+    assert 0 <= first <= top
+    # not the stream of a seed reduced mod 2^64
+    assert first != next(seed_stream(top & 0xFFFF))
+    assert random_tournament(6, top) == random_tournament(6, top)
 
 
 def test_random_tournament_determinism():

@@ -1,5 +1,6 @@
 """Unit tests for signed block tuple arithmetic."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -296,6 +297,23 @@ def test_period_info():
         period_info(())
 
 
+@pytest.mark.parametrize("fn, tup", [
+    (cycle_canonical, (2, -1, 1, -2)),
+    (period_info, (1, -2, 1, -2)),
+    (delta, (1, -1, 1, -1)),
+    (delta, (5,)),
+])
+def test_cached_type_functions_take_any_iterable(fn, tup):
+    assert fn(list(tup)) == fn(x for x in tup) == fn(tup)
+    assert fn.__name__ == fn.__wrapped__.__name__  # the public name, as tracers see it
+
+
+def test_period_info_of_an_empty_iterable_raises():
+    for empty in ([], (), iter(())):
+        with pytest.raises(EmptyTypeError):
+            period_info(empty)
+
+
 def test_delta_cases():
     assert delta((4,)) == 4  # circuit: the arc count
     assert delta((-4,)) == 4
@@ -477,6 +495,23 @@ def test_parse_type_errors():
     with pytest.raises(ParseError) as exc:
         parse_type("(2,x)")
     assert "byte" in str(exc.value)
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_parse_type_refuses_a_long_integer_whatever_the_int_limit(limit):
+    # interpreters before the limit existed convert any length: nothing to set
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(limit)
+    try:
+        for text, offset in (("(" + "1" * 5000 + ")", 1), ("(2, -" + "0" * 641 + ")", 3)):
+            with pytest.raises(ParseError) as exc:
+                parse_type(text)
+            assert exc.value.offset == offset
+            assert len(str(exc.value)) < 80  # the digits are not echoed
+        assert parse_type("(" + "7" * 640 + ",-1)") == (int("7" * 640), -1)
+    finally:
+        set_limit(old)
 
 
 def test_parse_type_rejects_non_ascii_digit_grammar():

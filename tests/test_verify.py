@@ -62,6 +62,14 @@ def test_scope_random_caps():
         Scope(mode="unknown", order=4)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 70)])
+def test_scope_refuses_a_seed_outside_64_bits(seed):
+    # even where the sweep is vacuous, so no draw would ever see the seed
+    with pytest.raises(ValueError, match="0..18446744073709551615"):
+        Scope(mode="random", order=1, samples=1, seed=seed)
+    Scope(mode="random", order=1, samples=1, seed=(1 << 64) - 1)
+
+
 @pytest.mark.parametrize("fields", [{"samples": 5}, {"seed": 7}, {"samples": 5, "seed": 7}])
 def test_scope_exhaustive_refuses_random_fields(fields):
     # the report would echo neither field, so the scope must not accept them
@@ -697,6 +705,31 @@ def test_sweep_records_a_single_lane_side_wider_than_the_lane_width():
     assert checked == 4
     assert [(r["sample"], r["lhs"], r["rhs"]) for r in records] == [
         (i, 1 << 40, 0) for i in range(4)]
+
+
+def test_sweep_puts_statement_records_first_and_caps_them_with_the_runs():
+    scope = Scope(mode="random", order=3, samples=5, seed=7)
+    statements = [(k, k, -k - 1) for k in range(12)]  # all failing, in this order
+    checked, records, _ = verify_mod._sweep(
+        scope, lambda lanes: [("run", 0, 1)], lambda key: {"key": key},
+        statements=iter(statements))
+    assert checked == 12 + 5  # one per statement, one per lane compared
+    assert records == [{"key": k, "lhs": k, "rhs": -k - 1} for k in range(10)]
+    # a passing statement is counted but not recorded; the lane records follow
+    checked, records, _ = verify_mod._sweep(
+        scope, lambda lanes: [("run", 0, 1)], lambda key: {"key": key},
+        statements=[(0, 1, 2), (1, 3, 3), (2, 4, 5)])
+    assert checked == 3 + 5
+    assert [r["key"] for r in records] == [0, 2, "run", "run", "run", "run", "run"]
+    assert [r["sample"] for r in records[2:]] == list(range(5))
+
+
+def test_t_one_visits_no_run(monkeypatch):
+    def refuse(scope):
+        raise AssertionError("t-one walked a run")
+    monkeypatch.setattr(verify_mod, "_runs", refuse)
+    report = verify("t-one", Scope(mode="random", order=12, samples=RANDOM_MAX_SAMPLES))
+    assert report.passed and report.checked == len(symmetric_tuples(11))
 
 
 def _two_checks(lanes):

@@ -10,7 +10,7 @@ that side's ``src``, and its stdout, stderr and exit code are compared byte
 for byte.  The calls are the fixed list ``fixed_calls()`` (every property on
 small exhaustive and random scopes and with arc-sum bounds below the spanning
 sum at orders 4, 6 and 9, an unknown id, ``census``, ``gen`` and
-``hcount``, and one call that prints the sorted
+``hcount``, the refusals of ``PARSER_ERRORS``, and one call that prints the sorted
 ``tourcensus.__all__``, so a dropped public name shows as a difference) and
 every benchmark call of ``BENCH_SEEDS``, with the inputs that the change's
 ``perfbench/workloads.py`` writes.  Prints each call that differs and a
@@ -39,6 +39,16 @@ ARC_SUM_SCOPES = (  # shorter arc sums, the last two from order 5 up
     ("--exhaustive", "--order", "4", "--max-arc-sum", "2"),
     ("--exhaustive", "--order", "6", "--max-arc-sum", "5"),
     ("--random", "--order", "9", "--max-arc-sum", "7", *RANDOM),
+)
+PARSER_ERRORS = (  # refusals past the argument parser, most with a byte offset
+    (*CLI, "census", "--order", "3", "--tournament", "3:1x1"),
+    (*CLI, "census", "--order", "3", "--tournament", "3111"),
+    (*CLI, "census", "--order", "17", "--random"),
+    (*CLI, "hcount", "--tournament", "3:111", "--digraph", "P(2,x)"),
+    (*CLI, "hcount", "--tournament", "3:111", "--digraph", "C(1,-1)"),
+    (*CLI, "gen", "--random", "--order", "3", "--count", "70000"),
+    (*CLI, "verify", "--property", "path-identity", "--random", "--order", "3",
+     "--samples", "0"),
 )
 BENCH_SEEDS = (1, 7)
 HOST7 = "7:001011010010000111101"
@@ -69,6 +79,7 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
         (*CLI, "hcount", "--tournament", HOST5, "--digraph", "P(1);P(1);V",
          "--complement-check"),
         (*CLI, "hcount", "--tournament", HOST5, "--digraph", "P(1,1)"),
+        *PARSER_ERRORS,
         PUBLIC_NAMES,
     ]
     return calls
