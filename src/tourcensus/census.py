@@ -2,9 +2,10 @@
 
 Two engines live here.  One subset DP, ``_word_dp``, counts vertex sequences
 whose arc signs spell any word of a set, walked as one trie so that words
-sharing a prefix share its steps, or every word of one length; paths halve
-the tally of symmetric types, cycles close back to the start and divide by
-delta * t, the readings each cycle of the type contributes.
+sharing a prefix share its steps, or every word of one length, walked breadth
+first with one lane of each count per sign prefix; paths halve the tally of
+symmetric types, cycles close back to the start and divide by delta * t, the
+readings each cycle of the type contributes.
 
 The census of m-vertex paths and m-arc cycles reads each cycle from its
 lowest vertex: a closed walk from each start s over the vertices above it.
@@ -175,16 +176,9 @@ def _advance(states: dict[int, int], masks: Sequence[int]) -> dict[int, int]:
 # ends holds (closing bit, word) pairs for the words whose steps end there.
 
 @lru_cache(maxsize=64)
-def _trie(length: int | None, words: tuple[tuple[int, int], ...] | None, closed: bool):
-    """Trie of ``words``, (arc count, packed signs) pairs.  With ``None`` it
-    holds every word of ``length`` arcs: one node per depth, shared by all
-    prefixes, whose ends carry no word, so the walk keys each by its signs.
-    The last arc of a closed word is its closing bit, not a step."""
-    if words is None:
-        node = ((), ((0, None), (1, None)) if closed else ((0, None),))
-        for _ in range(length - 1 if closed else length):
-            node = (((0, node), (1, node)), ())
-        return node
+def _trie(words: tuple[tuple[int, int], ...], closed: bool):
+    """Trie of ``words``, (arc count, packed signs) pairs.  The last arc of
+    a closed word is its closing bit, not a step."""
     items = [(w, n - 1 if closed else n, w >> (n - 1) & 1 if closed else 0, (n, w))
              for n, w in words]
 
@@ -256,57 +250,84 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
     """The subset DP behind every count: vertex sequences from ``starts``
     whose arc signs spell a word (bit i set when arc i runs forward).
 
-    ``words`` is a set of (arc count, packed signs) pairs of any lengths;
-    ``None`` means every word of ``length`` arcs.  The set is walked as one
-    trie, so words that share a prefix share its DP steps, and a word's tally
-    is read at the node where it ends.  With ``closed`` each start runs alone
-    and a word's last arc is the closing test back to it rather than a step;
-    the first step and that test take their lanes from ``lanes`` (a closed
-    walk from vertex 0 only), by default the one lane of T at each start.  A
-    closed walk over every word steps only to vertices above its start, so
-    each cycle is read from its lowest vertex alone.
+    ``words`` is a set of (arc count, packed signs) pairs of any lengths,
+    walked as one trie: words that share a prefix share its DP steps, and a
+    word's tally is read at the node where it ends.  ``None`` means every
+    word of ``length`` arcs, walked breadth first: word lane p of a count,
+    ``_Lanes`` width times lane count bits wide, holds the sequences whose
+    signs so far spell p, so a depth is one backward step and one forward
+    step whose lanes are shifted above the backward ones.  With ``closed``
+    each start runs alone and a word's last arc is the closing test back to
+    it rather than a step; the first step and that test take their lanes
+    from ``lanes`` (a closed walk from vertex 0 only), by default the one
+    lane of T at each start.  A closed walk over every word steps only to
+    vertices above its start, so each cycle is read from its lowest vertex.
     Returns the tally per word, as given or packed with ``None``; with
-    ``by_mask`` a dict per word from used-vertex mask to tally.  Zero tallies
-    are left out.
+    ``by_mask`` (a word set only) a dict per word from used-vertex mask to
+    tally.  Zero tallies are left out.
     """
     out_masks, in_masks = T.out_masks, T.in_masks
-    step_masks = (in_masks, out_masks)
-    root = _trie(length, None if words is None else tuple(words), closed)
+    if words is None and by_mask:
+        raise TypeError("by_mask needs a word set")
+    # a closed walk runs each start alone, its first step seeded with its lanes
+    firsts = [(s, *(_arc_lanes(T.n, 1, out_masks[s], in_masks[s])[2:] if lanes is None
+                    else (lanes.seed, lanes.close))) for s in (starts if closed else ())]
     counts: dict = {}
-    # depth-first over the trie, carrying the signs walked so far; a node's
-    # states are dropped once its children exist, so a single word holds two
-    # levels, not the whole path
-    if closed:  # the first step is seeded with its lanes; no closed word ends at the root
-        stack = []
-        for s in starts:
-            seed, close = (_arc_lanes(T.n, 1, out_masks[s], in_masks[s])[2:] if lanes is None
-                           else (lanes.seed, lanes.close))
-            below = (1 << s) - 1 if words is None else 0  # never visited: marked used
-            base = ((1 << s) | below) << 4
-            for bit, child in root[0]:
-                states = {base + step: c for step, c in seed[bit] if not step >> 4 & below}
-                if states:
-                    stack.append((child, 1, bit, states, close))
-    else:
-        stack = [(root, 0, 0, {((1 << v) << 4) | v: 1 for v in starts}, _OPEN)]
-    while stack:
-        (children, ends), depth, signs, states, close = stack.pop()
-        for bit, child in children:
-            nxt = _advance(states, step_masks[bit])
-            if nxt:
-                stack.append((child, depth + 1, signs | bit << depth, nxt, close))
-        for bit, word in ends:
-            if word is None:
-                word = signs | bit << depth
-            tally = counts.setdefault(word, {}) if by_mask else counts
-            ok = close[bit]
-            for key, c in states.items():
-                c &= ok[key & 15]
-                if c:
-                    k = key >> 4 if by_mask else word
-                    tally[k] = tally.get(k, 0) + c
-            if by_mask and not tally:
-                del counts[word]
+    if words is not None:
+        root = _trie(tuple(words), closed)
+        # depth-first over the trie; a node's states are dropped once its
+        # children exist, so a single word holds two levels, not the whole path
+        stack = ([(child, {(1 << s + 4) + step: c for step, c in seed[bit]}, close)
+                  for s, seed, close in firsts for bit, child in root[0] if seed[bit]] if closed
+                 else [(root, {(1 << v + 4) + v: 1 for v in starts}, _OPEN)])
+        while stack:
+            (children, ends), states, close = stack.pop()
+            for bit, child in children:
+                nxt = _advance(states, (in_masks, out_masks)[bit])
+                if nxt:
+                    stack.append((child, nxt, close))
+            for bit, word in ends:
+                tally = counts.setdefault(word, {}) if by_mask else counts
+                ok = close[bit]
+                for key, c in states.items():
+                    c &= ok[key & 15]
+                    if c:
+                        k = key >> 4 if by_mask else word
+                        tally[k] = tally.get(k, 0) + c
+                if by_mask and not tally:
+                    del counts[word]
+        return counts
+    stride = factorial(T.n).bit_length() * (1 if lanes is None else lanes.count)
+    steps = length - 1 if closed else length  # a closed word's last arc is its closing test
+    rep = sum(1 << stride * p for p in range(1 << steps))  # a 1 in every word lane
+    walks = [] if closed else [({(1 << v + 4) + v: 1 for v in starts}, 0, None)]
+    for s, seed, close in firsts:  # the vertices below s are marked used, never visited
+        states: dict[int, int] = {}
+        for bit in (0, 1):
+            for step, c in seed[bit]:
+                if not step >> 4 & (1 << s) - 1:
+                    k = ((2 << s) - 1 << 4) + step
+                    states[k] = states.get(k, 0) + (c << stride * bit)
+        walks.append((states, 1, close))
+    sums = [0, 0]  # per closing bit, every word lane summed over starts and last vertices
+    for states, depth, close in walks:
+        for d in range(depth, steps):
+            nxt = _advance(states, in_masks)  # backward: the lanes stay in place
+            for key, c in _advance(states, out_masks).items():  # forward: up by 2^d lanes
+                nxt[key] = nxt.get(key, 0) + (c << (stride << d))
+            states = nxt
+        if close is None:
+            sums[0] += sum(states.values())
+            continue
+        ends = [0] * T.n
+        for key, c in states.items():
+            ends[key & 15] += c
+        for bit in (0, 1):
+            sums[bit] += sum(c & close[bit][v] * rep for v, c in enumerate(ends) if c)
+    for bit, total in enumerate(sums):
+        for p in range(1 << steps):
+            if tally := total >> stride * p & (1 << stride) - 1:
+                counts[p | bit << steps] = tally
     return counts
 
 

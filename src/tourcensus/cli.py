@@ -31,11 +31,24 @@ from .tournaments import (
     random_tournaments,
     transitive,
 )
+from .type_algebra import _MAX_DIGITS
 from .verifier import PROPERTY_IDS, Scope, verify
 
 __all__ = ["GEN_MAX_COUNT", "build_parser", "main", "entry"]
 
 GEN_MAX_COUNT = 1 << 16  # random tournaments one ``gen`` call may print
+
+
+def _int(text: str) -> int:
+    """An integer option's value.  One longer than ``int`` converts under any
+    ``sys.set_int_max_str_digits`` is refused unconverted, unechoed."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"value of {digits} characters is too long")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names it in "invalid int value: 'abc'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("census", help="count every path and cycle type of a tournament")
-    p.add_argument("--order", type=int, required=True, metavar="N")
+    p.add_argument("--order", type=_int, required=True, metavar="N")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--tournament", metavar="STR", help="inline serialization, e.g. 3:111")
     src.add_argument("--input", metavar="FILE", help="file of serializations, one per line")
     src.add_argument("--random", action="store_true", help="draw one seeded tournament")
-    p.add_argument("--seed", type=int, metavar="S", help="with --random (default 0)")
+    p.add_argument("--seed", type=_int, metavar="S", help="with --random (default 0)")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", help="sweep a counting property over a tournament scope")
@@ -61,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", action="store_true")
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--samples", type=int, metavar="K", help="with --random (default 1)")
-    p.add_argument("--seed", type=int, metavar="S", help="with --random (default 0)")
+    p.add_argument("--order", type=_int, required=True, metavar="N")
+    p.add_argument("--samples", type=_int, metavar="K", help="with --random (default 1)")
+    p.add_argument("--seed", type=_int, metavar="S", help="with --random (default 0)")
     p.add_argument("--allow-large", action="store_true",
                    help=f"raise the exhaustive cap from {EXHAUSTIVE_MAX_ORDER} "
                         f"to {EXHAUSTIVE_HARD_MAX}")
-    p.add_argument("--max-arc-sum", type=int, default=None, metavar="M",
+    p.add_argument("--max-arc-sum", type=_int, default=None, metavar="M",
                    help="also check non-spanning types up to this arc sum "
                         "(path-identity and cycle-identity only)")
     p.set_defaults(handler=_cmd_verify)
@@ -85,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--all", action="store_true", help="every labeled tournament")
     kind.add_argument("--random", action="store_true", help="seeded independent draws")
     kind.add_argument("--transitive", action="store_true")
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--seed", type=int, metavar="S", help="with --random (default 0)")
-    p.add_argument("--count", type=int, metavar="K", help="with --random (default 1)")
+    p.add_argument("--order", type=_int, required=True, metavar="N")
+    p.add_argument("--seed", type=_int, metavar="S", help="with --random (default 0)")
+    p.add_argument("--count", type=_int, metavar="K", help="with --random (default 1)")
     p.set_defaults(handler=_cmd_gen)
 
     return parser

@@ -56,6 +56,12 @@ class ParseError(TourCensusError, ValueError):
         self.offset = offset
 
 
+def _shown(token: str) -> str:
+    """``token`` as an error message shows it: quoted up to 20 characters,
+    else only its length, so a long token is not echoed."""
+    return repr(token) if len(token) <= 20 else f"of {len(token)} characters"
+
+
 class ParityViolationError(TourCensusError, RuntimeError):
     """Internal invariant failed: a symmetric type produced an odd count."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import BadSubsetError, ParseError, ScopeTooLargeError
+from .errors import BadSubsetError, ParseError, ScopeTooLargeError, _shown
 
 MAX_ORDER = 16
 EXHAUSTIVE_MAX_ORDER = 6
@@ -137,7 +137,7 @@ def parse(text: str) -> Tournament:
         raise ParseError("missing ':'", len(text.encode()))
     head = text[:colon]
     if not (head.isascii() and head.isdigit()):
-        raise ParseError(f"bad order {head!r}", 0)
+        raise ParseError(f"bad order {_shown(head)}", 0)
     digits = head.lstrip("0") or "0"
     # a long order is refused unconverted: int() caps the digits it converts
     if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:

@@ -23,7 +23,7 @@ import re
 from functools import lru_cache, wraps
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyTypeError, IllFormedError, ParseError
+from .errors import EmptyTypeError, IllFormedError, ParseError, _shown
 
 SignedTuple = tuple[int, ...]
 
@@ -383,7 +383,7 @@ def parse_type(text: str) -> SignedTuple:
     for piece in body.split(","):
         token = piece.strip(_SPACE)
         if not _INTEGER.fullmatch(token):
-            raise ParseError(f"bad integer {token!r}", offset)
+            raise ParseError(f"bad integer {_shown(token)}", offset)
         digits = len(token.lstrip("-"))
         if digits > _MAX_DIGITS:
             raise ParseError(f"integer of {digits} digits is too long", offset)

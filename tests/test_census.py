@@ -213,13 +213,16 @@ def test_advance_byte_tables_match_bit_loop():
             states = got
 
 
-def brute_word_tallies(T, words, closed):
+def brute_word_tallies(T, words, closed, starts=None):
     """(arc count, packed signs) -> {used mask: vertex sequences spelling it},
-    by trying every sequence; a closed word's last arc runs back to the start."""
+    by trying every sequence (from ``starts`` only, if given); a closed
+    word's last arc runs back to the start."""
     out = {}
     for length, w in words:
         size = length if closed else length + 1
         for seq in permutations(range(T.n), size):
+            if starts is not None and seq[0] not in starts:
+                continue
             ring = seq + seq[:1] if closed else seq
             if all(T.has_arc(u, v) == bool(w >> i & 1)
                    for i, (u, v) in enumerate(zip(ring, ring[1:]))):
@@ -240,6 +243,45 @@ def test_word_set_walk_matches_brute_force():
             assert by_mask == expect, T.serialize()
             totals = _word_dp(T, range(T.n), words=words, closed=closed)
             assert totals == {w: sum(t.values()) for w, t in expect.items()}
+
+
+def test_every_word_walk_matches_brute_force():
+    # the packed walk over every word of one length, one word lane per sign
+    # prefix, against the brute tallies of the listed words of that length
+    def totals(tallies, keep=lambda mask: True):
+        out = {w: sum(c for mask, c in t.items() if keep(mask)) for (_, w), t in tallies.items()}
+        return {w: c for w, c in out.items() if c}
+
+    for T in [*random_tournaments(5, 61, 2), *random_tournaments(6, 62, 1),
+              *random_tournaments(7, 63, 1)]:
+        n = T.n
+        for m in range(n):
+            every = [(m, w) for w in range(1 << m)]
+            expect = totals(brute_word_tallies(T, every, False))
+            assert _word_dp(T, range(n), m) == expect, (T.serialize(), m)
+        for m in range(3, n + 1):
+            every = [(m, w) for w in range(1 << m)]
+            for s in range(n - m + 1):
+                # the walk from s never visits the vertices below it
+                brute = brute_word_tallies(T, every, True, starts=(s,))
+                expect = totals(brute, lambda mask: not mask & (1 << s) - 1)
+                assert _word_dp(T, (s,), m, closed=True) == expect, (T.serialize(), m, s)
+
+
+def test_every_word_lane_run_matches_its_members():
+    # 64 tournament lanes nested in each of the 2^(m-1) word lanes
+    lanes = _Lanes(Tournament(7, 21_845 << 6), 64)
+    for m in range(3, 8):
+        packed = _word_dp(lanes.T, (0,), m, closed=True, lanes=lanes)
+        for x, T in enumerate(_members(lanes)):
+            lane = {w: v for w, c in packed.items() if (v := lanes.unpack(c)[x])}
+            assert lane == _word_dp(T, (0,), m, closed=True), (T.serialize(), m)
+
+
+def test_every_word_walk_refuses_by_mask():
+    # per-mask tallies come from the trie walk over a word set alone
+    with pytest.raises(TypeError, match="by_mask needs a word set"):
+        _word_dp(T4, range(4), 3, by_mask=True)
 
 
 def test_enumeration_word_counts_guard():

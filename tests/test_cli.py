@@ -270,6 +270,16 @@ def test_hcount_long_integer_is_a_parse_error(capsys):
     assert err == "error: integer of 5000 digits is too long (byte 2)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("hcount", "--tournament", "3:111", "--digraph", "P(" + "1" * 5000 + "x)"),
+    ("census", "--order", "3", "--tournament", "x" * 5000 + ":111"),
+])
+def test_a_long_bad_token_is_not_echoed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: bad ") and "of 500" in err and len(err.encode()) < 200
+
+
 # --- gen ------------------------------------------------------------------------
 
 def test_gen_all(capsys):
@@ -313,6 +323,33 @@ def test_gen_largest_seed_draws(capsys):
     code, doc = run_json(capsys, "gen", "--random", "--order", "4",
                          "--seed", "18446744073709551615")
     assert code == 0 and doc["tournaments"] == ["4:111011"]
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_integer_options_refuse_a_long_value_whatever_the_int_limit(capsys, limit):
+    # interpreters before the limit existed convert any length: nothing to set
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(limit)
+    try:
+        for option in ("--order", "--seed", "--count"):
+            argv = {"--order": "3", "--seed": "1", "--count": "1", option: "1" * 5000}
+            code, out, err = run(capsys, "gen", "--random", *(x for kv in argv.items() for x in kv))
+            assert code == 2 and not out
+            assert err.endswith(f"error: argument {option}: value of 5000 characters is too long\n")
+            assert len(err.encode()) < 200
+        for option in ("--samples", "--max-arc-sum"):
+            code, out, err = run(capsys, "verify", "--property", "path-identity", "--random",
+                                 "--order", "4", option, "-" + "9" * 641)
+            assert code == 2 and not out
+            assert err.endswith(f"error: argument {option}: value of 641 characters is too long\n")
+        # 640 digits convert, whatever the limit, and reach the seed's own range check
+        code, out, err = run(capsys, "gen", "--random", "--order", "3", "--seed", "7" * 640)
+        assert code == 2 and err == "error: seed outside supported range 0..18446744073709551615\n"
+        code, out, err = run(capsys, "census", "--order", "abc", "--random")
+        assert code == 2 and err.endswith("error: argument --order: invalid int value: 'abc'\n")
+    finally:
+        set_limit(old)
 
 
 def test_gen_bad_count(capsys):

@@ -25,7 +25,8 @@ def _verify_calls(calls, pid):
 def test_every_property_runs_on_every_scope():
     calls = cli_identity.fixed_calls(PROPERTY_IDS)
     for pid in PROPERTY_IDS:
-        mine = [c for c in _verify_calls(calls, pid) if c not in cli_identity.PARSER_ERRORS]
+        mine = [c for c in _verify_calls(calls, pid)
+                if c not in cli_identity.PARSER_ERRORS + cli_identity.WIDE_WORD_LANES]
         orders = [c[c.index("--order") + 1] for c in mine if "--exhaustive" in c
                   and "--max-arc-sum" not in c]
         assert orders == [str(n) for n in range(6)], pid
@@ -66,7 +67,7 @@ def test_fixed_calls_reach_the_parser_errors():
          "--samples", "0"),
     ]
     assert calls[-1 - len(expected):-1] == expected  # just before the public names
-    assert len(calls) == len(PROPERTY_IDS) * 15 + 13 + len(expected) + 1
+    assert len(calls) == len(PROPERTY_IDS) * 15 + 2 + 13 + len(expected) + 1
 
 
 def test_differences_name_every_differing_call():
@@ -80,3 +81,16 @@ def test_differences_name_every_differing_call():
         "-m tourcensus c: stderr differ",
         "-c print(1): stdout, stderr differ",
     ]
+
+
+def test_fixed_calls_reach_the_widest_word_lanes():
+    calls = cli_identity.fixed_calls(PROPERTY_IDS)
+    cli = ("-m", "tourcensus", "verify", "--property")
+    wide = [
+        (*cli, "path-identity", "--random", "--order", "11", "--max-arc-sum", "10",
+         "--samples", "1", "--seed", "11"),
+        (*cli, "cycle-identity", "--random", "--order", "11", "--max-arc-sum", "11",
+         "--samples", "1", "--seed", "11"),
+    ]
+    start = len(PROPERTY_IDS) * 15  # right after the per-property scopes
+    assert calls[start:start + 2] == wide

@@ -9,7 +9,8 @@ Every call runs once per side as ``python3 ARGS`` with ``PYTHONPATH`` set to
 that side's ``src``, and its stdout, stderr and exit code are compared byte
 for byte.  The calls are the fixed list ``fixed_calls()`` (every property on
 small exhaustive and random scopes and with arc-sum bounds below the spanning
-sum at orders 4, 6 and 9, an unknown id, ``census``, ``gen`` and
+sum at orders 4, 6 and 9, the two ``WIDE_WORD_LANES`` identity sweeps at
+order 11, an unknown id, ``census``, ``gen`` and
 ``hcount``, the refusals of ``PARSER_ERRORS``, and one call that prints the sorted
 ``tourcensus.__all__``, so a dropped public name shows as a difference) and
 every benchmark call of ``BENCH_SEEDS``, with the inputs that the change's
@@ -50,6 +51,12 @@ PARSER_ERRORS = (  # refusals past the argument parser, most with a byte offset
     (*CLI, "verify", "--property", "path-identity", "--random", "--order", "3",
      "--samples", "0"),
 )
+WIDE_WORD_LANES = (  # the every-word walk at its most word lanes per count
+    (*CLI, "verify", "--property", "path-identity", "--random", "--order", "11",
+     "--max-arc-sum", "10", "--samples", "1", "--seed", "11"),
+    (*CLI, "verify", "--property", "cycle-identity", "--random", "--order", "11",
+     "--max-arc-sum", "11", "--samples", "1", "--seed", "11"),
+)
 BENCH_SEEDS = (1, 7)
 HOST7 = "7:001011010010000111101"
 HOST5 = "5:1101001110"
@@ -64,6 +71,7 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
         calls += [(*verify, "--random", "--order", str(n), *RANDOM) for n in RANDOM_ORDERS]
         calls += [(*verify, *scope) for scope in ARC_SUM_SCOPES]
     calls += [
+        *WIDE_WORD_LANES,
         (*CLI, "verify", "--property", "no-such-property", "--exhaustive", "--order", "3"),
         (*CLI, "census", "--order", "5", "--tournament", HOST5),
         (*CLI, "census", "--order", "7", "--random", "--seed", "3"),
