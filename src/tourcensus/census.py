@@ -256,7 +256,8 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
     word of ``length`` arcs, walked breadth first: word lane p of a count,
     ``_Lanes`` width times lane count bits wide, holds the sequences whose
     signs so far spell p, so a depth is one backward step and one forward
-    step whose lanes are shifted above the backward ones.  With ``closed``
+    step whose lanes are shifted above the backward ones; a closing test
+    masks every word lane alike, its bit on top.  With ``closed``
     each start runs alone and a word's last arc is the closing test back to
     it rather than a step; the first step and that test take their lanes
     from ``lanes`` (a closed walk from vertex 0 only), by default the one
@@ -300,34 +301,26 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
     stride = factorial(T.n).bit_length() * (1 if lanes is None else lanes.count)
     steps = length - 1 if closed else length  # a closed word's last arc is its closing test
     rep = sum(1 << stride * p for p in range(1 << steps))  # a 1 in every word lane
-    walks = [] if closed else [({(1 << v + 4) + v: 1 for v in starts}, 0, None)]
-    for s, seed, close in firsts:  # the vertices below s are marked used, never visited
-        states: dict[int, int] = {}
-        for bit in (0, 1):
-            for step, c in seed[bit]:
-                if not step >> 4 & (1 << s) - 1:
-                    k = ((2 << s) - 1 << 4) + step
-                    states[k] = states.get(k, 0) + (c << stride * bit)
-        walks.append((states, 1, close))
-    sums = [0, 0]  # per closing bit, every word lane summed over starts and last vertices
-    for states, depth, close in walks:
-        for d in range(depth, steps):
-            nxt = _advance(states, in_masks)  # backward: the lanes stay in place
-            for key, c in _advance(states, out_masks).items():  # forward: up by 2^d lanes
-                nxt[key] = nxt.get(key, 0) + (c << (stride << d))
-            states = nxt
-        if close is None:
-            sums[0] += sum(states.values())
-            continue
-        ends = [0] * T.n
+    total = 0  # word lane w holds word w's tally, summed over starts and ends
+    states = {(1 << v + 4) + v: 1 for v in (() if closed else starts)}
+    for s, seed, close in firsts if closed else [(0, None, None)]:
+        for d in range(steps):
+            if d or seed is None:
+                back, fwd = _advance(states, in_masks), _advance(states, out_masks)
+            else:  # the first step, never to the vertices below s: they are marked used
+                back, fwd = ({((2 << s) - 1 << 4) + step: c for step, c in seed[bit]
+                              if not step >> 4 & (1 << s) - 1} for bit in (0, 1))
+            for key, c in fwd.items():  # the forward lanes go above the backward ones
+                back[key] = back.get(key, 0) + (c << (stride << d))
+            states = back
         for key, c in states.items():
-            ends[key & 15] += c
-        for bit in (0, 1):
-            sums[bit] += sum(c & close[bit][v] * rep for v, c in enumerate(ends) if c)
-    for bit, total in enumerate(sums):
-        for p in range(1 << steps):
-            if tally := total >> stride * p & (1 << stride) - 1:
-                counts[p | bit << steps] = tally
+            if close:  # the closing test, alike in every word lane; its bit tops the word
+                last = key & 15
+                c = (c & close[0][last] * rep) + ((c & close[1][last] * rep) << (stride << steps))
+            total += c
+    for w in range(2 << steps):
+        if tally := total >> stride * w & (1 << stride) - 1:
+            counts[w] = tally
     return counts
 
 

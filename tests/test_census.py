@@ -259,7 +259,8 @@ def test_every_word_walk_matches_brute_force():
             every = [(m, w) for w in range(1 << m)]
             expect = totals(brute_word_tallies(T, every, False))
             assert _word_dp(T, range(n), m) == expect, (T.serialize(), m)
-        for m in range(3, n + 1):
+        assert _word_dp(T, range(n), 1, closed=True) == {}  # no loops
+        for m in range(2, n + 1):
             every = [(m, w) for w in range(1 << m)]
             for s in range(n - m + 1):
                 # the walk from s never visits the vertices below it
