@@ -1,11 +1,11 @@
 """Exact counting of oriented paths, cycles and their enumerations.
 
-Two engines live here.  One subset DP, ``_word_dp``, counts vertex sequences
-whose arc signs spell any word of a set, walked as one trie so that words
-sharing a prefix share its steps, or every word of one length, walked breadth
-first with one lane of each count per sign prefix; paths halve the tally of
-symmetric types, cycles close back to the start and divide by delta * t, the
-readings each cycle of the type contributes.
+Two engines live here.  A subset DP counts the vertex sequences whose arc
+signs spell a word, in two walks over one step, ``_advance``: a word set as
+one trie, words sharing a prefix sharing its steps (``_word_set_walk``), or
+every word of one length breadth first, one count lane per sign prefix
+(``_every_word_walk``).  Paths halve the tally of symmetric types; cycles
+close back to the start and divide by delta * t, the readings per cycle.
 
 The census of m-vertex paths and m-arc cycles reads each cycle from its
 lowest vertex: a closed walk from each start s over the vertices above it.
@@ -17,14 +17,15 @@ and no open walk is needed.  The spanning census is the walk from vertex 0.
 
 Only the first step and the closing arc of the walk from vertex 0 touch it,
 and no other walk touches it at all, so one census counts every tournament
-that differs from T only in vertex 0's arcs.
-Each count is then a packed int with one lane per tournament (``_Lanes``):
-lane x is T with its serial bits 0..n-2, vertex 0's arcs, flipped by x, and
-is ``n!.bit_length()`` bits wide, since a lane counts at most n! vertex
-sequences.  The first step and the closing test are masked per vertex by
-the lanes in which that arc has the wanted sign; every step between runs on
-the shared arcs, unchanged.  A single tournament is the one-lane case: its
-masks are just its own arcs at the start, so its counts are plain ints.
+that differs from T only in vertex 0's arcs: a run (``_Lanes``), given as the
+starts of a closed walk in place of vertex 0.  Each count is then a packed
+int with one lane per tournament: lane x is T with its serial bits 0..n-2,
+vertex 0's arcs, flipped by x, and is ``n!.bit_length()`` bits wide, since a
+lane counts at most n! vertex sequences.  The first step and the closing test
+are masked per vertex by the lanes in which that arc has the wanted sign;
+every step between runs on the shared arcs, unchanged.  A single tournament
+is the one-lane case: its masks are just its own arcs at the start, so its
+counts are plain ints.
 
 The brute-force oracle classifies raw permutations and is kept deliberately
 naive so the two engines can check each other.  Path classes are cut from
@@ -214,8 +215,8 @@ def _arc_lanes(n: int, count: int, out_mask: int, in_mask: int) -> tuple:
 
 
 class _Lanes:
-    """Tournaments that differ only in vertex 0's arcs, one lane each of
-    every packed count of a closed walk from vertex 0.
+    """Tournaments that differ only in vertex 0's arcs, one lane each of every
+    packed count; as the starts of a closed walk, the walk from vertex 0.
 
     Lane i is ``T`` with vertex 0's arcs, serial bits 0..n-2, flipped by i:
     the tournament ``T.bits ^ i``.  It is bits [i*width, (i+1)*width) of a
@@ -241,69 +242,71 @@ class _Lanes:
         return [value >> self.width * i & full for i in range(self.count)]
 
 
-_OPEN = ((-1,) * 16, (-1,) * 16)  # the closing lanes of an open walk: every end counts
+def _firsts(T: Tournament, starts: Iterable[int] | _Lanes) -> list:
+    """(start, first-step seed, closing lanes) of each start of a closed walk:
+    a run is vertex 0 over its lanes, and a vertex is T's one lane there."""
+    if isinstance(starts, _Lanes):
+        return [(0, starts.seed, starts.close)]
+    return [(s, *_arc_lanes(T.n, 1, T.out_masks[s], T.in_masks[s])[2:]) for s in starts]
 
 
-def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
-             words: Iterable[tuple[int, int]] | None = None, closed: bool = False,
-             by_mask: bool = False, lanes: _Lanes | None = None) -> dict:
-    """The subset DP behind every count: vertex sequences from ``starts``
-    whose arc signs spell a word (bit i set when arc i runs forward).
-
-    ``words`` is a set of (arc count, packed signs) pairs of any lengths,
-    walked as one trie: words that share a prefix share its DP steps, and a
-    word's tally is read at the node where it ends.  ``None`` means every
-    word of ``length`` arcs, walked breadth first: word lane p of a count,
-    ``_Lanes`` width times lane count bits wide, holds the sequences whose
-    signs so far spell p, so a depth is one backward step and one forward
-    step whose lanes are shifted above the backward ones; a closing test
-    masks every word lane alike, its bit on top.  With ``closed``
-    each start runs alone and a word's last arc is the closing test back to
-    it rather than a step; the first step and that test take their lanes
-    from ``lanes`` (a closed walk from vertex 0 only), by default the one
-    lane of T at each start.  A closed walk over every word steps only to
-    vertices above its start, so each cycle is read from its lowest vertex.
-    Returns the tally per word, as given or packed with ``None``; with
-    ``by_mask`` (a word set only) a dict per word from used-vertex mask to
-    tally.  Zero tallies are left out.
+def _word_set_walk(T: Tournament, starts: Iterable[int] | _Lanes,
+                   words: Iterable[tuple[int, int]], closed: bool = False) -> dict:
+    """Vertex sequences from ``starts`` whose arc signs (bit i set when arc i
+    runs forward) spell a word of ``words``, (arc count, packed signs) pairs of
+    any lengths, walked as one trie: words that share a prefix share its DP
+    steps, and a word's tally is read at the node where it ends.  With
+    ``closed`` each start runs alone (``_firsts``) and a word's last arc is
+    the closing test back to it rather than a step.  Returns per word a dict
+    from used-vertex mask to tally; zero tallies are left out.
     """
     out_masks, in_masks = T.out_masks, T.in_masks
-    if words is None and by_mask:
-        raise TypeError("by_mask needs a word set")
-    # a closed walk runs each start alone, its first step seeded with its lanes
-    firsts = [(s, *(_arc_lanes(T.n, 1, out_masks[s], in_masks[s])[2:] if lanes is None
-                    else (lanes.seed, lanes.close))) for s in (starts if closed else ())]
+    root = _trie(tuple(words), closed)
+    # depth-first over the trie; a node's states are dropped once its
+    # children exist, so a single word holds two levels, not the whole path
+    if closed:
+        stack = [(child, {(1 << s + 4) + step: c for step, c in seed[bit]}, close)
+                 for s, seed, close in _firsts(T, starts) for bit, child in root[0] if seed[bit]]
+    else:  # every end of an open walk counts
+        stack = [(root, {(1 << v + 4) + v: 1 for v in starts}, ((-1,) * 16,) * 2)]
     counts: dict = {}
-    if words is not None:
-        root = _trie(tuple(words), closed)
-        # depth-first over the trie; a node's states are dropped once its
-        # children exist, so a single word holds two levels, not the whole path
-        stack = ([(child, {(1 << s + 4) + step: c for step, c in seed[bit]}, close)
-                  for s, seed, close in firsts for bit, child in root[0] if seed[bit]] if closed
-                 else [(root, {(1 << v + 4) + v: 1 for v in starts}, _OPEN)])
-        while stack:
-            (children, ends), states, close = stack.pop()
-            for bit, child in children:
-                nxt = _advance(states, (in_masks, out_masks)[bit])
-                if nxt:
-                    stack.append((child, nxt, close))
-            for bit, word in ends:
-                tally = counts.setdefault(word, {}) if by_mask else counts
-                ok = close[bit]
-                for key, c in states.items():
-                    c &= ok[key & 15]
-                    if c:
-                        k = key >> 4 if by_mask else word
-                        tally[k] = tally.get(k, 0) + c
-                if by_mask and not tally:
-                    del counts[word]
-        return counts
-    stride = factorial(T.n).bit_length() * (1 if lanes is None else lanes.count)
+    while stack:
+        (children, ends), states, close = stack.pop()
+        for bit, child in children:
+            nxt = _advance(states, (in_masks, out_masks)[bit])
+            if nxt:
+                stack.append((child, nxt, close))
+        for bit, word in ends:
+            tally = counts.setdefault(word, {})
+            ok = close[bit]
+            for key, c in states.items():
+                c &= ok[key & 15]
+                if c:
+                    k = key >> 4
+                    tally[k] = tally.get(k, 0) + c
+            if not tally:
+                del counts[word]
+    return counts
+
+
+def _every_word_walk(T: Tournament, starts: Iterable[int] | _Lanes, length: int,
+                     closed: bool = False) -> dict[int, int]:
+    """The walk of ``_word_set_walk`` over every word of ``length`` arcs,
+    breadth first: word lane p of a count, the lane width times the run's
+    lane count bits wide, holds the sequences whose signs so far spell p, so
+    a depth is one backward step and one forward step whose lanes are shifted
+    above the backward ones; a closing test masks every word lane alike, its
+    bit on top.  A closed walk steps only to vertices above its start, so each
+    cycle is read from its lowest vertex.  Returns the tally per packed word,
+    summed over starts; zero tallies are left out.
+    """
+    out_masks, in_masks = T.out_masks, T.in_masks
+    stride = factorial(T.n).bit_length() * (starts.count if isinstance(starts, _Lanes) else 1)
     steps = length - 1 if closed else length  # a closed word's last arc is its closing test
     rep = sum(1 << stride * p for p in range(1 << steps))  # a 1 in every word lane
     total = 0  # word lane w holds word w's tally, summed over starts and ends
-    states = {(1 << v + 4) + v: 1 for v in (() if closed else starts)}
-    for s, seed, close in firsts if closed else [(0, None, None)]:
+    states = {} if closed else {(1 << v + 4) + v: 1 for v in starts}
+    for s, seed, close in _firsts(T, starts) if closed else [(0, None, None)]:
         for d in range(steps):
             if d or seed is None:
                 back, fwd = _advance(states, in_masks), _advance(states, out_masks)
@@ -318,10 +321,7 @@ def _word_dp(T: Tournament, starts: Iterable[int], length: int | None = None,
                 last = key & 15
                 c = (c & close[0][last] * rep) + ((c & close[1][last] * rep) << (stride << steps))
             total += c
-    for w in range(2 << steps):
-        if tally := total >> stride * w & (1 << stride) - 1:
-            counts[w] = tally
-    return counts
+    return {w: t for w in range(2 << steps) if (t := total >> stride * w & (1 << stride) - 1)}
 
 
 def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
@@ -330,18 +330,21 @@ def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
     a = check_standard_path(alpha)
     if arc_sum(a) + 1 > T.n:
         raise TypeTooLongError(f"type {a} needs {arc_sum(a) + 1} vertices, host has {T.n}")
-    return sum(_word_dp(T, range(T.n), words=((arc_sum(a), word_int(a)),)).values())
+    word = (arc_sum(a), word_int(a))
+    return sum(_word_set_walk(T, range(T.n), (word,)).get(word, {}).values())
 
 
 def enumeration_word_counts(T: Tournament, m: int, lanes: _Lanes | None = None) -> dict[int, int]:
     """Enumeration counts for every sign word of length m-1 in one sweep.
 
     Returns a dict from packed word to count; absent words have count 0.
-    With ``lanes`` (over T) every count is packed, one lane per tournament.
+    With ``lanes``, a run over T, every count is packed, one lane per tournament.
     """
     if not 2 <= m <= T.n:
         raise TypeTooLongError(f"word sweep needs 2 <= m <= {T.n}, got {m}")
-    return _length_census(T, m, lanes)[0]
+    if lanes is not None and lanes.T != T:
+        raise ValueError(f"lanes run over {lanes.T!r}, not over {T!r}")
+    return _length_census(lanes or _Lanes(T), m)[0]
 
 
 def _halved(readings: int, tup: SignedTuple, lanes: _Lanes | None = None) -> int:
@@ -398,7 +401,8 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
     if m < 3:
         return 0  # tournaments are loopless and have no 2-cycles
     canon = cycle_canonical(b)
-    readings = sum(_word_dp(T, range(T.n), words=((m, word_int(canon)),), closed=True).values())
+    word = (m, word_int(canon))
+    readings = sum(_word_set_walk(T, range(T.n), (word,), closed=True).get(word, {}).values())
     return _per_cycle(readings, canon)
 
 
@@ -415,11 +419,10 @@ def _cut(closed: dict[int, int], n: int) -> dict[int, int]:
     return paths
 
 
-def _length_census(T: Tournament, m: int, lanes: _Lanes | None = None
-                   ) -> tuple[dict[int, int], dict[SignedTuple, int]]:
+def _length_census(lanes: _Lanes, m: int) -> tuple[dict[int, int], dict[SignedTuple, int]]:
     """Word tallies of the paths of m vertices and the count of every cycle
-    type of m arcs, zeros included (2 <= m <= n); packed per lane with
-    ``lanes`` (over T).
+    type of m arcs, zeros included (2 <= m <= n), packed per lane of the run
+    ``lanes`` over T.
 
     Each cycle has exactly two readings from its lowest vertex, one per
     direction, so the closed words of the walks from every start are bucketed
@@ -429,12 +432,11 @@ def _length_census(T: Tournament, m: int, lanes: _Lanes | None = None
     these readings rotated, so cutting the closed words gives every path word.
     Two vertices close no cycle: each sign word is read off C(n, 2) pairs.
     """
-    n = T.n
-    ones = 1 if lanes is None else lanes.ones
+    T, n, ones = lanes.T, lanes.T.n, lanes.ones
     if m == 2:
         return dict.fromkeys((0, 1), n * (n - 1) // 2 * ones), {}
-    closed = _word_dp(T, (0,), m, closed=True, lanes=lanes)
-    for w, c in _word_dp(T, range(1, n - m + 1), m, closed=True).items():
+    closed = _every_word_walk(T, lanes, m, closed=True)
+    for w, c in _every_word_walk(T, range(1, n - m + 1), m, closed=True).items():
         closed[w] = closed.get(w, 0) + c * ones
     readings = dict.fromkeys(cycle_type_classes(m), 0)
     classes = _cycle_word_classes(m)
@@ -443,23 +445,21 @@ def _length_census(T: Tournament, m: int, lanes: _Lanes | None = None
     return _cut(closed, m), {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
 
 
-def _spanning_path_counts(T: Tournament, paths: Sequence[int],
-                          lanes: _Lanes | None = None) -> dict[int, int]:
-    """Enumeration tallies of the given Hamiltonian path words alone (order
-    2 and up), from the closed walk from vertex 0 over just the readings that
-    cut into them: the rotations of each path word closed by an arc of either
-    sign.  A single tournament takes the open walk from every start over the
+def _spanning_path_counts(lanes: _Lanes, paths: Sequence[int]) -> dict[int, int]:
+    """Enumeration tallies of the given Hamiltonian path words alone (order 2
+    and up) per lane of the run ``lanes``, from its closed walk over just the
+    readings that cut into them: the rotations of each path word closed by an
+    arc of either sign.  One lane takes the open walk from every start over the
     words themselves instead, which expands about a third of the states."""
-    n = T.n
-    if lanes is None or lanes.count == 1:
-        opened = _word_dp(T, range(n), words=tuple((n - 1, p) for p in paths))
-        return {p: opened.get((n - 1, p), 0) for p in paths}
+    T, n = lanes.T, lanes.T.n
+    if lanes.count == 1:
+        opened = _word_set_walk(T, range(n), tuple((n - 1, p) for p in paths))
+        return {p: sum(opened.get((n - 1, p), {}).values()) for p in paths}
     full = (1 << n) - 1
     rotations = {(w << j | w >> (n - j)) & full
                  for p in paths for w in (p, p | 1 << (n - 1)) for j in range(n)}
-    closed = _word_dp(T, (0,), words=tuple((n, w) for w in sorted(rotations)),
-                      closed=True, lanes=lanes)
-    cut = _cut({w: c for (_, w), c in closed.items()}, n)
+    closed = _word_set_walk(T, lanes, tuple((n, w) for w in sorted(rotations)), closed=True)
+    cut = _cut({w: sum(t.values()) for (_, w), t in closed.items()}, n)
     return {p: cut.get(p, 0) for p in paths}
 
 
@@ -494,7 +494,7 @@ def census(T: Tournament) -> CensusReport:
     path_counts: dict[SignedTuple, int] = {}
     cycle_counts: dict[SignedTuple, int] = {}
     if n >= 2:
-        words, cycle_counts = _length_census(T, n)
+        words, cycle_counts = _length_census(_Lanes(T), n)
         for cls in path_type_classes(n - 1):
             path_counts[cls] = _f_from_words(words, cls)
     return CensusReport(n, path_counts, cycle_counts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .census import _per_cycle, _per_path, _word_dp
+from .census import _per_cycle, _per_path, _word_set_walk
 from .errors import DivisibilityViolationError, IllFormedError, ParseError, TypeTooLongError
 from .tournaments import Tournament, pair_index, seed_stream
 from .type_algebra import (
@@ -155,7 +155,7 @@ def _span_tables(T: Tournament, comps: tuple[Component, ...]) -> dict[Component,
         if not group:
             continue
         words = _component_words(group)
-        readings = _word_dp(T, range(T.n), words=words, closed=kind == "C", by_mask=True)
+        readings = _word_set_walk(T, range(T.n), words, closed=kind == "C")
         for comp, word in zip(group, words):
             tally = readings.get(word, {})
             per = {r: per_copy(r, comp[1]) for r in set(tally.values())}
@@ -165,7 +165,7 @@ def _span_tables(T: Tournament, comps: tuple[Component, ...]) -> dict[Component,
 
 @lru_cache(maxsize=64)
 def _component_words(comps: tuple[Component, ...]) -> tuple[tuple[int, int], ...]:
-    """(arc count, packed signs) of each component, the words of _word_dp."""
+    """(arc count, packed signs) of each component, the words of _word_set_walk."""
     return tuple((arc_sum(tup), word_int(tup)) for _, tup in comps)
 
 

@@ -317,7 +317,7 @@ def _check_cycle_identity(scope: Scope, max_arc_sum: int | None):
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         for m in sums:
-            g = _length_census(lanes.T, m, lanes)[1]
+            g = _length_census(lanes, m)[1]
             for beta in standard_tuples(m, "cycle"):
                 neg = negate(beta)
                 if beta > neg:
@@ -463,7 +463,7 @@ def _check_complement_bridge(scope: Scope, _):
         # each side is swept on its own, so neither count is derived from the
         # other; both share the lanes' layout
         (words, cycles), (words_rev, cycles_rev) = both(
-            lanes, lambda ln: _length_census(ln.T, n, ln))
+            lanes, lambda ln: _length_census(ln, n))
         for alpha in standard_tuples(n - 1, "path"):
             yield (alpha, _f_from_words(words, alpha, lanes),
                    _f_from_words(words_rev, alpha, lanes))
@@ -495,7 +495,7 @@ def _check_szele_floor(scope: Scope, _):
         checked += lanes.count
         if n >= 3 and k % 2:
             continue  # the partner of the run before: its lanes hold the same counts
-        counts = _spanning_path_counts(lanes.T, (directed,), lanes)[directed]
+        counts = _spanning_path_counts(lanes, (directed,))[directed]
         best = max(best, *lanes.unpack(counts))
     violations = [{"lhs": best, "rhs": floor}] if best < floor else []
     return checked, violations, {"max": best, "floor": floor}
@@ -515,7 +515,7 @@ def _check_rosenfeld(scope: Scope, _):
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         # the two Hamiltonian path words alone, one lane per tournament of the batch
-        e = _spanning_path_counts(lanes.T, words, lanes)
+        e = _spanning_path_counts(lanes, words)
         yield alpha, _f_from_words(e, alpha, lanes), _f_from_words(e, neg, lanes)
 
     checked, violations, _ = _sweep(scope, compare, _type_field)

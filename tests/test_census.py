@@ -46,7 +46,8 @@ from tourcensus import (
 )
 from tourcensus.census import (
     CensusReport, _Lanes, _advance, _f_from_words, _halved, _length_census,
-    _oracle_cycle_counts, _oracle_path_counts, _per_cycle, _spanning_path_counts, _word_dp,
+    _oracle_cycle_counts, _oracle_path_counts, _per_cycle, _spanning_path_counts,
+    _every_word_walk, _word_set_walk,
 )
 from tourcensus.errors import DivisibilityViolationError, ParityViolationError
 from tourcensus.verifier import _runs
@@ -183,7 +184,7 @@ def test_spanning_word_counts_cut_matches_open_walk():
         n = T.n
         for m in range(2, n + 1):
             words = enumeration_word_counts(T, m)
-            assert words == _word_dp(T, range(n), m - 1), (T.serialize(), m)
+            assert words == _every_word_walk(T, range(n), m - 1), (T.serialize(), m)
             assert sum(words.values()) == factorial(n) // factorial(n - m), (T.serialize(), m)
 
 
@@ -238,11 +239,8 @@ def test_word_set_walk_matches_brute_force():
     cycles = ((3, 0b111), (3, 0b011), (4, 0b0101), (4, 0b0011), (5, 0b00111), (5, 0b01011))
     for T in [*random_tournaments(6, 12, 2), *random_tournaments(7, 13, 1)]:
         for words, closed in ((paths, False), (cycles, True)):
-            by_mask = _word_dp(T, range(T.n), words=words, closed=closed, by_mask=True)
-            expect = brute_word_tallies(T, words, closed)
-            assert by_mask == expect, T.serialize()
-            totals = _word_dp(T, range(T.n), words=words, closed=closed)
-            assert totals == {w: sum(t.values()) for w, t in expect.items()}
+            by_mask = _word_set_walk(T, range(T.n), words, closed)
+            assert by_mask == brute_word_tallies(T, words, closed), T.serialize()
 
 
 def test_every_word_walk_matches_brute_force():
@@ -258,31 +256,47 @@ def test_every_word_walk_matches_brute_force():
         for m in range(n):
             every = [(m, w) for w in range(1 << m)]
             expect = totals(brute_word_tallies(T, every, False))
-            assert _word_dp(T, range(n), m) == expect, (T.serialize(), m)
-        assert _word_dp(T, range(n), 1, closed=True) == {}  # no loops
+            assert _every_word_walk(T, range(n), m) == expect, (T.serialize(), m)
+        assert _every_word_walk(T, range(n), 1, closed=True) == {}  # no loops
         for m in range(2, n + 1):
             every = [(m, w) for w in range(1 << m)]
             for s in range(n - m + 1):
                 # the walk from s never visits the vertices below it
                 brute = brute_word_tallies(T, every, True, starts=(s,))
                 expect = totals(brute, lambda mask: not mask & (1 << s) - 1)
-                assert _word_dp(T, (s,), m, closed=True) == expect, (T.serialize(), m, s)
+                assert _every_word_walk(T, (s,), m, closed=True) == expect, (T.serialize(), m, s)
 
 
 def test_every_word_lane_run_matches_its_members():
     # 64 tournament lanes nested in each of the 2^(m-1) word lanes
     lanes = _Lanes(Tournament(7, 21_845 << 6), 64)
     for m in range(3, 8):
-        packed = _word_dp(lanes.T, (0,), m, closed=True, lanes=lanes)
+        packed = _every_word_walk(lanes.T, lanes, m, closed=True)
         for x, T in enumerate(_members(lanes)):
             lane = {w: v for w, c in packed.items() if (v := lanes.unpack(c)[x])}
-            assert lane == _word_dp(T, (0,), m, closed=True), (T.serialize(), m)
+            assert lane == _every_word_walk(T, (0,), m, closed=True), (T.serialize(), m)
 
 
-def test_every_word_walk_refuses_by_mask():
-    # per-mask tallies come from the trie walk over a word set alone
-    with pytest.raises(TypeError, match="by_mask needs a word set"):
-        _word_dp(T4, range(4), 3, by_mask=True)
+def test_word_set_lane_run_matches_its_members():
+    # the trie over closed words of several lengths, some prefixes of others,
+    # with 64 tournament lanes in every per-mask tally
+    lanes = _Lanes(Tournament(7, 21_845 << 6), 64)
+    words = ((3, 0b011), (3, 0b111), (4, 0b0101), (5, 0b00111), (6, 0b010101), (7, 0b0110011))
+    packed = _word_set_walk(lanes.T, lanes, words, closed=True)
+    assert packed.keys() == set(words)
+    for x, T in enumerate(_members(lanes)):
+        lane = {word: tally for word, t in packed.items()
+                if (tally := {mask: v for mask, c in t.items() if (v := lanes.unpack(c)[x])})}
+        assert lane == _word_set_walk(T, (0,), words, closed=True), T.serialize()
+
+
+def test_open_walks_refuse_a_run():
+    # a run is the start of a closed walk from vertex 0; an open walk takes vertices
+    lanes = _Lanes(T4, 8)
+    with pytest.raises(TypeError):
+        _word_set_walk(T4, lanes, ((3, 0b101),))
+    with pytest.raises(TypeError):
+        _every_word_walk(T4, lanes, 3)
 
 
 def test_enumeration_word_counts_guard():
@@ -290,6 +304,13 @@ def test_enumeration_word_counts_guard():
         enumeration_word_counts(TT3, 1)
     with pytest.raises(TypeTooLongError):
         enumeration_word_counts(TT3, 4)
+
+
+def test_enumeration_word_counts_refuses_a_run_over_another_tournament():
+    T, U = random_tournaments(6, 5, 2)
+    assert enumeration_word_counts(T, 6, _Lanes(T)) == enumeration_word_counts(T, 6)
+    with pytest.raises(ValueError, match="lanes run over"):
+        enumeration_word_counts(T, 6, _Lanes(U))
 
 
 @given(random_small(5))
@@ -368,9 +389,10 @@ def test_closed_walk_over_every_word_reads_each_cycle_from_its_lowest_vertex():
             for m in range(3, n + 1):
                 every = [(m, w) for w in range(1 << m)]
                 for s in range(n - m + 1):
-                    listed = _word_dp(T.induced(range(s, n)), (0,), words=every, closed=True)
-                    assert (_word_dp(T, (s,), m, closed=True)
-                            == {w: c for (_, w), c in listed.items()}), (T.serialize(), m, s)
+                    listed = _word_set_walk(T.induced(range(s, n)), (0,), every, closed=True)
+                    assert (_every_word_walk(T, (s,), m, closed=True)
+                            == {w: sum(t.values()) for (_, w), t in listed.items()}), (
+                                T.serialize(), m, s)
 
 
 @given(random_small(5))
@@ -415,7 +437,7 @@ def test_cycle_census_from_vertex_zero_matches_oracle():
         assert ours.cycle_counts == oracle.cycle_counts, T.serialize()
         assert ours.path_counts == oracle.path_counts, T.serialize()
         for m in range(3, T.n + 1):
-            words, cycles = _length_census(T, m)
+            words, cycles = _length_census(_Lanes(T), m)
             paths = {cls: _f_from_words(words, cls) for cls in path_type_classes(m - 1)}
             assert (paths, cycles) == _oracle_by_length(T, m), (T.serialize(), m)
 
@@ -449,24 +471,26 @@ def test_lane_walk_matches_single_tournaments():
     for lanes, members in runs:
         n = lanes.T.n
         directed = (1 << (n - 1)) - 1
-        paths = _spanning_path_counts(lanes.T, (directed,), lanes)[directed]
+        paths = _spanning_path_counts(lanes, (directed,))[directed]
         assert lanes.count == len(members) == 1 << (n - 1)
         assert lanes.unpack(paths) == [count_enumerations(T, (n - 1,)) for T in members]
         for m in range(2, n + 1):
-            words, cycles = _length_census(lanes.T, m, lanes)
+            words, cycles = _length_census(lanes, m)
             for x, T in enumerate(members):
                 # the one-lane walk is the plain census of the same tournament
-                assert _lane(lanes, words, cycles, x) == _length_census(T, m), (T.serialize(), m)
+                assert (_lane(lanes, words, cycles, x)
+                        == _length_census(_Lanes(T), m)), (T.serialize(), m)
         for x, T in enumerate(members):  # words and cycles are the spanning census here
             assert lanes.tournament(x) == T
             lane_words, lane_cycles = _lane(lanes, words, cycles, x)
-            assert lane_words == _word_dp(T, range(n), n - 1), T.serialize()
+            assert lane_words == _every_word_walk(T, range(n), n - 1), T.serialize()
             if n <= 5:
                 expect = oracle_census(T).cycle_counts
             else:
                 expect = {cls: count_cycles(T, cls) for cls in cycle_type_classes(n)}
             assert lane_cycles == expect, T.serialize()
-            assert _spanning_path_counts(T, (directed,)) == {directed: lanes.unpack(paths)[x]}
+            assert (_spanning_path_counts(_Lanes(T), (directed,))
+                    == {directed: lanes.unpack(paths)[x]})
 
 
 def test_census_report_shape():

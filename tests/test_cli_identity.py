@@ -50,7 +50,7 @@ def test_fixed_calls_cover_every_subcommand_and_the_public_names():
     assert any("--complement-check" in c for c in calls)
     assert _verify_calls(calls, "no-such-property")
     assert calls[-1] == cli_identity.PUBLIC_NAMES
-    assert "tourcensus.__all__" in calls[-1][1]
+    assert "tourcensus.__all__" in calls[-1][1] and "inspect.signature" in calls[-1][1]
 
 
 def test_fixed_calls_reach_the_parser_errors():

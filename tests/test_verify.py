@@ -214,9 +214,9 @@ def _corrupt(name, bump):
     applied to every lane i that holds a tournament in _FAULTY."""
     real = getattr(verify_mod, name)
 
-    def faulty(T, *args):
-        result = real(T, *args)
-        lanes = args[-1]
+    def faulty(*args):
+        result = real(*args)
+        lanes = next(arg for arg in args if isinstance(arg, _Lanes))
         for i in range(lanes.count):
             if lanes.tournament(i).bits in _FAULTY:
                 bump(result, i, lanes)
@@ -603,9 +603,9 @@ def test_complement_bridge_walks_each_run_once(monkeypatch):
     calls = []
     real = verify_mod._length_census
 
-    def counting(T, *args):
-        calls.append(T.bits)
-        return real(T, *args)
+    def counting(lanes, *args):
+        calls.append(lanes.T.bits)
+        return real(lanes, *args)
     monkeypatch.setattr(verify_mod, "_length_census", counting)
     scope = Scope(mode="exhaustive", order=5)
     assert verify("complement-bridge", scope).passed
@@ -666,9 +666,9 @@ def test_szele_floor_walks_one_run_per_pair(monkeypatch, order):
     calls = []
     real = verify_mod._spanning_path_counts
 
-    def counting(T, *args):
-        calls.append(T.bits)
-        return real(T, *args)
+    def counting(lanes, *args):
+        calls.append(lanes.T.bits)
+        return real(lanes, *args)
     monkeypatch.setattr(verify_mod, "_spanning_path_counts", counting)
     scope = Scope(mode="exhaustive", order=order)
     report = verify("szele-floor", scope)

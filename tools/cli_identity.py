@@ -12,7 +12,8 @@ small exhaustive and random scopes and with arc-sum bounds below the spanning
 sum at orders 4, 6 and 9, the two ``WIDE_WORD_LANES`` identity sweeps at
 order 11, an unknown id, ``census``, ``gen`` and
 ``hcount``, the refusals of ``PARSER_ERRORS``, and one call that prints the sorted
-``tourcensus.__all__``, so a dropped public name shows as a difference) and
+``tourcensus.__all__`` and the signature of each public callable, so a dropped
+public name or a changed signature shows as a difference) and
 every benchmark call of ``BENCH_SEEDS``, with the inputs that the change's
 ``perfbench/workloads.py`` writes.  Prints each call that differs and a
 summary; exits 1 when any call differs.  Standard library only.
@@ -32,7 +33,14 @@ from pathlib import Path
 from bench_record import _git, export
 
 CLI = ("-m", "tourcensus")
-PUBLIC_NAMES = ("-c", "import tourcensus; print(*sorted(tourcensus.__all__))")
+PUBLIC_NAMES = ("-c", "import inspect, tourcensus\n"
+                "names = sorted(tourcensus.__all__)\n"
+                "print(*names)\n"
+                "for name in names:\n"
+                "    try:\n"
+                "        print(name, inspect.signature(getattr(tourcensus, name)))\n"
+                "    except (TypeError, ValueError):  # not callable, or no signature\n"
+                "        pass\n")
 EXHAUSTIVE_ORDERS = tuple(range(6))
 RANDOM_ORDERS = (0, 1, 2, 3, 7, 9)
 RANDOM = ("--samples", "3", "--seed", "11")
