@@ -54,6 +54,7 @@ from .type_algebra import (
     _cycle_word_classes,
     _cyclic_runs_from_word,
     _path_word_classes,
+    _rotation_orbits,
     _runs_from_word,
     arc_sum,
     check_standard_cycle,
@@ -194,6 +195,20 @@ def _trie(words: tuple[tuple[int, int], ...], closed: bool):
     return node_of(items, 0)
 
 
+def _lane_ones(width: int, count: int) -> int:
+    """A 1 in each of ``count`` lanes ``width`` bits wide, lane 0 lowest."""
+    return int("1".zfill(width) * count, 2)
+
+
+def _split_lanes(value: int, width: int, count: int) -> list[int]:
+    """Lanes 0..count-1 of ``value``, ``width`` bits each, lane 0 lowest: one
+    slice of its binary string each, where shifting the whole value once per
+    lane would cost time quadratic in the count."""
+    bits = format(value, "b").zfill(width * count)
+    top = len(bits)
+    return [int(bits[top - width * (i + 1):top - width * i], 2) for i in range(count)]
+
+
 @lru_cache(maxsize=1 << 12)
 def _arc_lanes(n: int, count: int, out_mask: int, in_mask: int) -> tuple:
     """Layout of ``count`` lanes at order n, and the lanes of the arcs at a
@@ -203,7 +218,7 @@ def _arc_lanes(n: int, count: int, out_mask: int, in_mask: int) -> tuple:
     per sign and vertex the full lanes in which the closing arc has that
     sign (close)."""
     width = factorial(n).bit_length()
-    ones = sum(1 << width * i for i in range(count))
+    ones = _lane_ones(width, count)
     full = (1 << width) - 1
     flips = [sum(1 << width * i for i in range(count) if v and i >> (v - 1) & 1)
              for v in range(n)]  # lane i flips vertex 0's arc to v where bit v-1 of i is set
@@ -236,10 +251,7 @@ class _Lanes:
 
     def unpack(self, value: int) -> list[int]:
         """Each lane's count; one lane's is the value itself, never masked."""
-        if self.count == 1:
-            return [value]
-        full = (1 << self.width) - 1
-        return [value >> self.width * i & full for i in range(self.count)]
+        return [value] if self.count == 1 else _split_lanes(value, self.width, self.count)
 
 
 def _firsts(T: Tournament, starts: Iterable[int] | _Lanes) -> list:
@@ -303,7 +315,7 @@ def _every_word_walk(T: Tournament, starts: Iterable[int] | _Lanes, length: int,
     out_masks, in_masks = T.out_masks, T.in_masks
     stride = factorial(T.n).bit_length() * (starts.count if isinstance(starts, _Lanes) else 1)
     steps = length - 1 if closed else length  # a closed word's last arc is its closing test
-    rep = sum(1 << stride * p for p in range(1 << steps))  # a 1 in every word lane
+    rep = _lane_ones(stride, 1 << steps)  # a 1 in every word lane
     total = 0  # word lane w holds word w's tally, summed over starts and ends
     states = {} if closed else {(1 << v + 4) + v: 1 for v in starts}
     for s, seed, close in _firsts(T, starts) if closed else [(0, None, None)]:
@@ -321,7 +333,9 @@ def _every_word_walk(T: Tournament, starts: Iterable[int] | _Lanes, length: int,
                 last = key & 15
                 c = (c & close[0][last] * rep) + ((c & close[1][last] * rep) << (stride << steps))
             total += c
-    return {w: t for w in range(2 << steps) if (t := total >> stride * w & (1 << stride) - 1)}
+    if not total:  # no start, as for the starts above 0 of a spanning census
+        return {}
+    return {w: t for w, t in enumerate(_split_lanes(total, stride, 1 << length)) if t}
 
 
 def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
@@ -406,17 +420,29 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
     return _per_cycle(readings, canon)
 
 
-def _cut(closed: dict[int, int], n: int) -> dict[int, int]:
-    """Path word tallies from closed n-arc readings: each reading ``w`` cut at
-    each of its n arcs gives n path words, the n-1 arcs read from the cut."""
-    low = (1 << (n - 1)) - 1
-    paths: dict[int, int] = {}
+def _orbit_sums(closed: dict[int, int], n: int) -> dict[int, int]:
+    """Tallies of closed n-arc readings summed per rotation orbit, keyed by
+    the orbit's least word."""
+    least = _rotation_orbits(n)[0]
+    sums: dict[int, int] = {}
     for w, c in closed.items():
-        ww = w | w << n
-        for j in range(n):
-            p = ww >> j & low
-            paths[p] = paths.get(p, 0) + c
-    return paths
+        r = least[w]
+        sums[r] = sums.get(r, 0) + c
+    return sums
+
+
+def _cut(sums: dict[int, int], n: int) -> dict[int, int]:
+    """Path word tallies from closed n-arc readings, given as ``_orbit_sums``.
+
+    Cutting a reading at each of its n arcs and reading the n-1 arcs from the
+    cut gives its n rotations with the top bit dropped, every word of its
+    orbit n / size times.  So path word p is cut S(p) + S(p | 2^(n-1)) times,
+    where S of a word is its orbit's sum times n / size."""
+    least, sizes = _rotation_orbits(n)
+    per_word = {r: c * (n // sizes[r]) for r, c in sums.items()}
+    top = 1 << (n - 1)
+    return {p: t for p in range(top)
+            if (t := per_word.get(least[p], 0) + per_word.get(least[p | top], 0))}
 
 
 def _length_census(lanes: _Lanes, m: int) -> tuple[dict[int, int], dict[SignedTuple, int]]:
@@ -438,11 +464,12 @@ def _length_census(lanes: _Lanes, m: int) -> tuple[dict[int, int], dict[SignedTu
     closed = _every_word_walk(T, lanes, m, closed=True)
     for w, c in _every_word_walk(T, range(1, n - m + 1), m, closed=True).items():
         closed[w] = closed.get(w, 0) + c * ones
+    sums = _orbit_sums(closed, m)  # a rotation orbit's words are one cycle type's
     readings = dict.fromkeys(cycle_type_classes(m), 0)
     classes = _cycle_word_classes(m)
-    for w, c in closed.items():
+    for w, c in sums.items():
         readings[classes[w]] += c
-    return _cut(closed, m), {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
+    return _cut(sums, m), {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
 
 
 def _spanning_path_counts(lanes: _Lanes, paths: Sequence[int]) -> dict[int, int]:
@@ -459,7 +486,7 @@ def _spanning_path_counts(lanes: _Lanes, paths: Sequence[int]) -> dict[int, int]
     rotations = {(w << j | w >> (n - j)) & full
                  for p in paths for w in (p, p | 1 << (n - 1)) for j in range(n)}
     closed = _word_set_walk(T, lanes, tuple((n, w) for w in sorted(rotations)), closed=True)
-    cut = _cut({w: sum(t.values()) for (_, w), t in closed.items()}, n)
+    cut = _cut(_orbit_sums({w: sum(t.values()) for (_, w), t in closed.items()}, n), n)
     return {p: cut.get(p, 0) for p in paths}
 
 

@@ -15,11 +15,19 @@ merge.  A cycle reads the rule around the wrap as well.
 A type is also read arc by arc as a sign word, an int with bit i set when
 arc i runs forward (``word_int((2, -1)) == 0b011``); ``_runs_from_word``
 splits a word back into blocks, and every inventory here is built from words.
+The word tables are built one rotation orbit at a time: ``_rotation_orbits``
+gives every n-bit cyclic word its orbit's least word and every orbit its
+size, so the cycle table makes one ``cycle_canonical`` call per orbit and the
+orbit of its negated reversal, and the path table one ``path_canonical`` call
+per word and its negated reversal.  The type inventories are the sorted sets
+of the two tables.  The orbits only decide which words share a result; each
+result is still the canonical function's.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache, wraps
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -306,27 +314,62 @@ def _cyclic_runs_from_word(w: int, length: int) -> SignedTuple:
 
 
 @lru_cache(maxsize=None)
+def _rotation_orbits(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The rotation orbits of the n-bit cyclic words: for every word the least
+    word of its orbit, and the size of each orbit keyed by that least word."""
+    full = (1 << n) - 1
+    least = [-1] * (1 << n)
+    for w in range(1 << n):
+        r = w
+        while least[r] < 0:  # runs only when w starts an orbit not yet met: its least word
+            least[r] = w
+            r = (r << 1 | r >> (n - 1)) & full
+    return tuple(least), Counter(least)
+
+
+@lru_cache(maxsize=None)
 def _path_word_classes(n: int) -> tuple[SignedTuple, ...]:
-    """Canonical path type for every (n-1)-arc sign word, indexed by word."""
-    return tuple(path_canonical(_runs_from_word(w, n - 1)) for w in range(1 << (n - 1)))
+    """Canonical path type for every (n-1)-arc sign word, indexed by word;
+    one ``path_canonical`` call per word and its negated reversal."""
+    classes: list = [None] * (1 << (n - 1))
+    for w in range(1 << (n - 1)):
+        if classes[w] is None:
+            runs = _runs_from_word(w, n - 1)
+            classes[w] = classes[word_int(neg_reverse(runs))] = path_canonical(runs)
+    return tuple(classes)
 
 
 @lru_cache(maxsize=None)
 def _cycle_word_classes(n: int) -> tuple[SignedTuple, ...]:
-    """Canonical cycle type for every n-arc cyclic sign word."""
-    return tuple(cycle_canonical(_cyclic_runs_from_word(w, n)) for w in range(1 << n))
+    """Canonical cycle type for every n-arc cyclic sign word; one
+    ``cycle_canonical`` call per rotation orbit and the orbit of its negated
+    reversal, which reads the same cycles the other way round."""
+    least, sizes = _rotation_orbits(n)
+    by_orbit: dict[int, SignedTuple] = {}
+    for w in sizes:
+        if w not in by_orbit:  # the reversal's runs spell a word of the reversed orbit
+            runs = _cyclic_runs_from_word(w, n)
+            by_orbit[w] = by_orbit[least[word_int(neg_reverse(runs))]] = cycle_canonical(runs)
+    return tuple(map(by_orbit.__getitem__, least))
+
+
+def _check_arc_sum(total: int) -> None:
+    if total < 1:
+        raise ValueError("arc sum must be at least 1")
 
 
 @lru_cache(maxsize=None)
 def path_type_classes(total: int) -> tuple[SignedTuple, ...]:
     """Canonical representatives of all path types with the given arc sum."""
-    return tuple(sorted({path_canonical(t) for t in standard_tuples(total, "path")}))
+    _check_arc_sum(total)
+    return tuple(sorted(set(_path_word_classes(total + 1))))
 
 
 @lru_cache(maxsize=None)
 def cycle_type_classes(total: int) -> tuple[SignedTuple, ...]:
     """Canonical representatives of all cycle types with the given arc sum."""
-    return tuple(sorted({cycle_canonical(t) for t in standard_tuples(total, "cycle")}))
+    _check_arc_sum(total)
+    return tuple(sorted(set(_cycle_word_classes(total))))
 
 
 @lru_cache(maxsize=None)
@@ -336,8 +379,7 @@ def standard_tuples(total: int, kind: str) -> tuple[SignedTuple, ...]:
     ``kind`` is ``"path"`` (any block count) or ``"cycle"`` (one block or an
     even number of blocks).
     """
-    if total < 1:
-        raise ValueError("arc sum must be at least 1")
+    _check_arc_sum(total)
     if kind not in ("path", "cycle"):
         raise ValueError(f"unknown kind {kind!r}")
     runs = (_runs_from_word(w, total) for w in range(1 << total))

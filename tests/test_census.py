@@ -45,11 +45,15 @@ from tourcensus import (
     word_int,
 )
 from tourcensus.census import (
-    CensusReport, _Lanes, _advance, _f_from_words, _halved, _length_census,
-    _oracle_cycle_counts, _oracle_path_counts, _per_cycle, _spanning_path_counts,
-    _every_word_walk, _word_set_walk,
+    CensusReport, _Lanes, _advance, _cut, _f_from_words, _halved, _lane_ones, _length_census,
+    _oracle_cycle_counts, _oracle_path_counts, _orbit_sums, _per_cycle, _spanning_path_counts,
+    _split_lanes, _every_word_walk, _word_set_walk,
 )
 from tourcensus.errors import DivisibilityViolationError, ParityViolationError
+from tourcensus.type_algebra import (
+    _cycle_word_classes, _cyclic_runs_from_word, _path_word_classes, _runs_from_word,
+    cycle_canonical, path_canonical,
+)
 from tourcensus.verifier import _runs
 
 TT3 = Tournament.parse("3:111")
@@ -186,6 +190,39 @@ def test_spanning_word_counts_cut_matches_open_walk():
             words = enumeration_word_counts(T, m)
             assert words == _every_word_walk(T, range(n), m - 1), (T.serialize(), m)
             assert sum(words.values()) == factorial(n) // factorial(n - m), (T.serialize(), m)
+
+
+def cut_at_every_arc(closed, n):
+    """Path word tallies cut word by word: each closed reading cut at each of
+    its n arcs, the n-1 arcs read from the cut."""
+    low = (1 << (n - 1)) - 1
+    paths = {}
+    for w, c in closed.items():
+        ww = w | w << n
+        for j in range(n):
+            p = ww >> j & low
+            paths[p] = paths.get(p, 0) + c
+    return paths
+
+
+def test_orbit_cut_matches_the_cut_at_every_arc():
+    # dense one-lane tallies, 8-lane packed tallies, and the sparse tallies of
+    # the rotations that _spanning_path_counts walks
+    for n in range(3, 10):
+        for T in random_tournaments(n, 60 + n, 2):
+            full = (1 << n) - 1
+            paths = ((1 << (n - 1)) - 1, 0b0101010101 & (1 << (n - 1)) - 1)
+            rotations = {(w << j | w >> (n - j)) & full
+                         for p in paths for w in (p, p | 1 << (n - 1)) for j in range(n)}
+            lanes = _Lanes(T, 8)
+            closed = _word_set_walk(T, lanes, tuple((n, w) for w in sorted(rotations)),
+                                    closed=True)
+            for tallies in (_every_word_walk(T, _Lanes(T), n, closed=True),
+                            _every_word_walk(T, lanes, n, closed=True),
+                            {w: sum(t.values()) for (_, w), t in closed.items()}):
+                assert tallies
+                assert _cut(_orbit_sums(tallies, n), n) == cut_at_every_arc(tallies, n), \
+                    (T.serialize(), n)
 
 
 def bit_loop_advance(states, masks):
@@ -380,6 +417,21 @@ def test_a_single_lane_unpacks_to_its_own_value():
     assert lanes.unpack(1 << 40) == [1 << 40]
 
 
+def test_lane_split_matches_the_shift_unpack():
+    for width in (1, 3, 7, 8, 13, 22, 64, 65):
+        full = (1 << width) - 1
+        for count in (1, 2, 5, 8, 33):
+            assert _lane_ones(width, count) == sum(1 << width * i for i in range(count))
+            lanes = [(i * 2_654_435_761 + 7) & full for i in range(count)]
+            lanes[-1] = full  # a full top lane, and zero lanes where the pattern gives them
+            value = sum(c << width * i for i, c in enumerate(lanes))
+            shifted = [value >> width * i & full for i in range(count)]
+            assert _split_lanes(value, width, count) == shifted == lanes, (width, count)
+            # bits above the top lane are not part of any lane
+            assert _split_lanes(value | 5 << width * count, width, count) == lanes
+    assert _split_lanes(0, 3, 4) == [0, 0, 0, 0]
+
+
 def test_closed_walk_over_every_word_reads_each_cycle_from_its_lowest_vertex():
     # only _length_census relies on this: a walk over every word from s sees
     # the subtournament on s..n-1, where the same word list walked from its
@@ -536,6 +588,40 @@ def test_path_type_classes():
 def test_cycle_type_classes():
     assert cycle_type_classes(3) == ((1, -2), (3,))
     assert cycle_type_classes(4) == ((1, -3), (1, -1, 1, -1), (2, -2), (4,))
+    assert cycle_type_classes(1) == ((1,),)
+    assert cycle_type_classes(2) == ((1, -1), (2,))
+    counts = [len(cycle_type_classes(n)) for n in range(3, 13)]
+    assert counts == [2, 4, 4, 9, 10, 22, 30, 62, 94, 192]
+
+
+def test_path_type_class_counts_follow_burnside():
+    # words of m arcs under w ~ its negated reversal: 2^m words, and
+    # 2^(m/2) of them fixed when m is even
+    for m in range(1, 16):
+        fixed = 1 << m // 2 if m % 2 == 0 else 0
+        assert len(path_type_classes(m)) == ((1 << m) + fixed) // 2, m
+
+
+def test_word_class_tables_match_the_canonical_type_of_each_word():
+    # the tables share one canonical call per orbit; each word's own call is
+    # the reference
+    for n in range(1, 13):
+        assert _cycle_word_classes(n) == tuple(
+            cycle_canonical(_cyclic_runs_from_word(w, n)) for w in range(1 << n)), n
+        assert cycle_type_classes(n) == tuple(sorted(
+            {cycle_canonical(t) for t in standard_tuples(n, "cycle")})), n
+    for n in range(2, 13):
+        assert _path_word_classes(n) == tuple(
+            path_canonical(_runs_from_word(w, n - 1)) for w in range(1 << (n - 1))), n
+        assert path_type_classes(n - 1) == tuple(sorted(
+            {path_canonical(t) for t in standard_tuples(n - 1, "path")})), n
+
+
+@pytest.mark.parametrize("inventory", [path_type_classes, cycle_type_classes])
+@pytest.mark.parametrize("total", [0, -1])
+def test_type_inventories_refuse_arc_sums_below_one(inventory, total):
+    with pytest.raises(ValueError, match="^arc sum must be at least 1$"):
+        inventory(total)
 
 
 # --- clones and path classes --------------------------------------------------

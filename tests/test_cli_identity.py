@@ -67,7 +67,14 @@ def test_fixed_calls_reach_the_parser_errors():
          "--samples", "0"),
     ]
     assert calls[-1 - len(expected):-1] == expected  # just before the public names
-    assert len(calls) == len(PROPERTY_IDS) * 15 + 2 + 13 + len(expected) + 1
+    assert len(calls) == len(PROPERTY_IDS) * 15 + 2 + 17 + len(expected) + 1
+
+
+def test_fixed_calls_reach_random_censuses_at_small_orders_and_order_9():
+    calls = cli_identity.fixed_calls(PROPERTY_IDS)
+    censuses = [c for c in calls if c[2:4] == ("census", "--random")]
+    assert censuses == [("-m", "tourcensus", "census", "--random", "--order", n, "--seed", "3")
+                        for n in ("0", "1", "2", "9")]
 
 
 def test_differences_name_every_differing_call():

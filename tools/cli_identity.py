@@ -10,13 +10,13 @@ that side's ``src``, and its stdout, stderr and exit code are compared byte
 for byte.  The calls are the fixed list ``fixed_calls()`` (every property on
 small exhaustive and random scopes and with arc-sum bounds below the spanning
 sum at orders 4, 6 and 9, the two ``WIDE_WORD_LANES`` identity sweeps at
-order 11, an unknown id, ``census``, ``gen`` and
-``hcount``, the refusals of ``PARSER_ERRORS``, and one call that prints the sorted
-``tourcensus.__all__`` and the signature of each public callable, so a dropped
-public name or a changed signature shows as a difference) and
-every benchmark call of ``BENCH_SEEDS``, with the inputs that the change's
-``perfbench/workloads.py`` writes.  Prints each call that differs and a
-summary; exits 1 when any call differs.  Standard library only.
+order 11, an unknown id, ``census`` (random ones at ``CENSUS_ORDERS`` among
+them), ``gen`` and ``hcount``, the refusals of ``PARSER_ERRORS``, and one call
+that prints the sorted ``tourcensus.__all__`` and the signature of each public
+callable, so a dropped public name or a changed signature shows as a
+difference) and every benchmark call of ``BENCH_SEEDS``, with the inputs that
+the change's ``perfbench/workloads.py`` writes.  Prints each call that differs
+and a summary; exits 1 when any call differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ WIDE_WORD_LANES = (  # the every-word walk at its most word lanes per count
     (*CLI, "verify", "--property", "cycle-identity", "--random", "--order", "11",
      "--max-arc-sum", "11", "--samples", "1", "--seed", "11"),
 )
+CENSUS_ORDERS = (0, 1, 2, 9)  # random censuses below the cycle guards, and at order 9
 BENCH_SEEDS = (1, 7)
 HOST7 = "7:001011010010000111101"
 HOST5 = "5:1101001110"
@@ -85,6 +86,7 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
         (*CLI, "census", "--order", "7", "--random", "--seed", "3"),
         (*CLI, "census", "--order", "4", "--tournament", HOST5),
         (*CLI, "census", "--order", "4", "--tournament", "4:111011", "--seed", "1"),
+        *((*CLI, "census", "--random", "--order", str(n), "--seed", "3") for n in CENSUS_ORDERS),
         (*CLI, "gen", "--all", "--order", "3"),
         (*CLI, "gen", "--transitive", "--order", "5"),
         (*CLI, "gen", "--random", "--order", "6", "--count", "4", "--seed", "5"),
