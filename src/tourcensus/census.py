@@ -7,13 +7,14 @@ every word of one length breadth first, one count lane per sign prefix
 (``_every_word_walk``).  Paths halve the tally of symmetric types; cycles
 close back to the start and divide by delta * t, the readings per cycle.
 
-The census of m-vertex paths and m-arc cycles reads each cycle from its
-lowest vertex: a closed walk from each start s over the vertices above it.
-Every such cycle has exactly two readings from there, one per direction, so
-each cycle class tally is halved.  Every path of m vertices closes into
-exactly one m-arc cycle, through the arc between its ends, so cutting each
-closed reading at each of its m arcs yields every path sequence exactly once,
-and no open walk is needed.  The spanning census is the walk from vertex 0.
+The census of m-vertex paths and m-arc cycles (``_length_census``), where
+every sweep reads a run's word tallies, reads each cycle from its lowest
+vertex: a closed walk from each start s over the vertices above it; the
+spanning census is the walk from vertex 0.  Every path of m vertices closes
+into exactly one m-arc cycle, through the arc between its ends, so cutting
+each closed reading at each of its m arcs yields every path sequence exactly
+once, and no open walk is needed.  Each cycle and each path leaves two
+readings in its class, one per direction, so every class tally is halved.
 
 Only the first step and the closing arc of the walk from vertex 0 touch it,
 and no other walk touches it at all, so one census counts every tournament
@@ -348,17 +349,12 @@ def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
     return sum(_word_set_walk(T, range(T.n), (word,)).get(word, {}).values())
 
 
-def enumeration_word_counts(T: Tournament, m: int, lanes: _Lanes | None = None) -> dict[int, int]:
-    """Enumeration counts for every sign word of length m-1 in one sweep.
-
-    Returns a dict from packed word to count; absent words have count 0.
-    With ``lanes``, a run over T, every count is packed, one lane per tournament.
-    """
+def enumeration_word_counts(T: Tournament, m: int) -> dict[int, int]:
+    """Enumeration counts for every sign word of length m-1 in one sweep, as a
+    dict from packed word to count; absent words have count 0."""
     if not 2 <= m <= T.n:
         raise TypeTooLongError(f"word sweep needs 2 <= m <= {T.n}, got {m}")
-    if lanes is not None and lanes.T != T:
-        raise ValueError(f"lanes run over {lanes.T!r}, not over {T!r}")
-    return _length_census(lanes or _Lanes(T), m)[0]
+    return _length_census(_Lanes(T), m)[0]
 
 
 def _halved(readings: int, tup: SignedTuple, lanes: _Lanes | None = None) -> int:
@@ -374,7 +370,7 @@ def _per_path(e: int, alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
     return _halved(e, alpha, lanes) if is_symmetric(alpha) else e
 
 
-def _f_from_words(words: dict[int, int], alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
+def _f_from_words(words: dict[int, int], alpha: SignedTuple, lanes: _Lanes) -> int:
     """Path count of ``alpha`` from a table of word tallies."""
     return _per_path(words.get(word_int(alpha), 0), alpha, lanes)
 
@@ -445,6 +441,18 @@ def _cut(sums: dict[int, int], n: int) -> dict[int, int]:
             if (t := per_word.get(least[p], 0) + per_word.get(least[p | top], 0))}
 
 
+def _class_halves(tallies: dict[int, int], classes: Sequence[SignedTuple],
+                  inventory: Iterable[SignedTuple], lanes: _Lanes) -> dict[SignedTuple, int]:
+    """Half the tallies summed per class of ``inventory``, zeros included, in
+    every lane of ``lanes``; ``classes`` maps each word to its class.  Every
+    cycle and every path leaves two readings in its class, one per direction: a
+    path's spell a word and its negated reversal."""
+    readings = dict.fromkeys(inventory, 0)
+    for w, c in tallies.items():
+        readings[classes[w]] += c
+    return {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
+
+
 def _length_census(lanes: _Lanes, m: int) -> tuple[dict[int, int], dict[SignedTuple, int]]:
     """Word tallies of the paths of m vertices and the count of every cycle
     type of m arcs, zeros included (2 <= m <= n), packed per lane of the run
@@ -465,11 +473,7 @@ def _length_census(lanes: _Lanes, m: int) -> tuple[dict[int, int], dict[SignedTu
     for w, c in _every_word_walk(T, range(1, n - m + 1), m, closed=True).items():
         closed[w] = closed.get(w, 0) + c * ones
     sums = _orbit_sums(closed, m)  # a rotation orbit's words are one cycle type's
-    readings = dict.fromkeys(cycle_type_classes(m), 0)
-    classes = _cycle_word_classes(m)
-    for w, c in sums.items():
-        readings[classes[w]] += c
-    return _cut(sums, m), {cls: _halved(r, cls, lanes) for cls, r in readings.items()}
+    return _cut(sums, m), _class_halves(sums, _cycle_word_classes(m), cycle_type_classes(m), lanes)
 
 
 def _spanning_path_counts(lanes: _Lanes, paths: Sequence[int]) -> dict[int, int]:
@@ -518,12 +522,11 @@ def census(T: Tournament) -> CensusReport:
             f"full census capped at order {CENSUS_MAX_ORDER}; "
             "use count_paths/count_cycles for single types"
         )
-    path_counts: dict[SignedTuple, int] = {}
-    cycle_counts: dict[SignedTuple, int] = {}
-    if n >= 2:
-        words, cycle_counts = _length_census(_Lanes(T), n)
-        for cls in path_type_classes(n - 1):
-            path_counts[cls] = _f_from_words(words, cls)
+    if n < 2:
+        return CensusReport(n, {}, {})
+    lanes = _Lanes(T)
+    words, cycle_counts = _length_census(lanes, n)
+    path_counts = _class_halves(words, _path_word_classes(n), path_type_classes(n - 1), lanes)
     return CensusReport(n, path_counts, cycle_counts)
 
 

@@ -31,7 +31,7 @@ from collections import Counter
 from functools import lru_cache, wraps
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyTypeError, IllFormedError, ParseError, _shown
+from .errors import EmptyTypeError, IllFormedError, ParseError, TooShortError, _shown
 
 SignedTuple = tuple[int, ...]
 
@@ -355,7 +355,7 @@ def _cycle_word_classes(n: int) -> tuple[SignedTuple, ...]:
 
 def _check_arc_sum(total: int) -> None:
     if total < 1:
-        raise ValueError("arc sum must be at least 1")
+        raise TooShortError("arc sum must be at least 1")
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from .census import (
     _oracle_cycle_counts,
     _oracle_path_counts,
     _spanning_path_counts,
-    enumeration_word_counts,
     oracle_cycle_sets,
     path_classes,
 )
@@ -172,8 +171,6 @@ class VerifyReport:
 
 def list_types(total: int, kind: str) -> list[SignedTuple]:
     """All standard tuples with the given arc sum, both sign phases."""
-    if total < 1:
-        raise TooShortError("arc sum must be at least 1")
     return list(standard_tuples(total, kind))
 
 
@@ -301,7 +298,7 @@ def _check_path_identity(scope: Scope, max_arc_sum: int | None):
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         for m in sums:
-            words = enumeration_word_counts(lanes.T, m + 1, lanes)
+            words = _length_census(lanes, m + 1)[0]
             for alpha in standard_tuples(m, "path"):
                 if alpha[0] < 0:
                     continue  # (alpha, -alpha) pairs checked once
@@ -332,7 +329,7 @@ def _check_enumeration_partition(scope: Scope, _):
     n = scope.order
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
-        total = sum(enumeration_word_counts(lanes.T, n, lanes).values())
+        total = sum(_length_census(lanes, n)[0].values())
         yield None, total, factorial(n) * lanes.ones
 
     return _sweep(scope, compare, lambda _: {})
@@ -344,7 +341,7 @@ def _check_pe_ratio(scope: Scope, _):
     n = scope.order
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
-        words = enumeration_word_counts(lanes.T, n)
+        words = _length_census(lanes, n)[0]
         by_class = _oracle_path_counts(lanes.T)
         for alpha in standard_tuples(n - 1, "path"):
             f = by_class[path_canonical(alpha)]
@@ -418,9 +415,9 @@ def _check_count_formula(scope: Scope, _):
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         gvals = _oracle_cycle_counts(lanes.T)
-        words = enumeration_word_counts(lanes.T, n)
+        words = _length_census(lanes, n)[0]
         for beta, alpha, weights in sides:
-            yield beta, _f_from_words(words, alpha), sum(w * gvals[g] for g, w in weights)
+            yield beta, _f_from_words(words, alpha, lanes), sum(w * gvals[g] for g, w in weights)
 
     return _sweep(scope, compare, _type_field, single=True)
 
@@ -504,8 +501,8 @@ def _check_szele_floor(scope: Scope, _):
 def _check_rosenfeld(scope: Scope, _):
     """Alternating-type specialization of the path identity: as many
     strictly-alternating Hamiltonian paths lead with a forward arc as with a
-    backward one.  Flags the even-length case, where the type is symmetric
-    and the identity holds by definition."""
+    backward one.  Flags the odd-length case, where the type is not symmetric:
+    -alpha is alpha read backwards, so both sides count the same paths."""
     n = scope.order
     if n < 2:
         raise TooShortError("alternating paths need at least 2 vertices")
@@ -519,7 +516,7 @@ def _check_rosenfeld(scope: Scope, _):
         yield alpha, _f_from_words(e, alpha, lanes), _f_from_words(e, neg, lanes)
 
     checked, violations, _ = _sweep(scope, compare, _type_field)
-    return checked, violations, {"alpha": format_type(alpha), "trivial": is_symmetric(alpha)}
+    return checked, violations, {"alpha": format_type(alpha), "trivial": not is_symmetric(alpha)}
 
 
 class _Property(NamedTuple):

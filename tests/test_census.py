@@ -45,8 +45,8 @@ from tourcensus import (
     word_int,
 )
 from tourcensus.census import (
-    CensusReport, _Lanes, _advance, _cut, _f_from_words, _halved, _lane_ones, _length_census,
-    _oracle_cycle_counts, _oracle_path_counts, _orbit_sums, _per_cycle, _spanning_path_counts,
+    CensusReport, _Lanes, _advance, _class_halves, _cut, _f_from_words, _halved, _lane_ones,
+    _length_census, _oracle_cycle_counts, _oracle_path_counts, _orbit_sums, _per_cycle, _spanning_path_counts,
     _split_lanes, _every_word_walk, _word_set_walk,
 )
 from tourcensus.errors import DivisibilityViolationError, ParityViolationError
@@ -343,13 +343,6 @@ def test_enumeration_word_counts_guard():
         enumeration_word_counts(TT3, 4)
 
 
-def test_enumeration_word_counts_refuses_a_run_over_another_tournament():
-    T, U = random_tournaments(6, 5, 2)
-    assert enumeration_word_counts(T, 6, _Lanes(T)) == enumeration_word_counts(T, 6)
-    with pytest.raises(ValueError, match="lanes run over"):
-        enumeration_word_counts(T, 6, _Lanes(U))
-
-
 @given(random_small(5))
 @settings(max_examples=40, deadline=None)
 def test_count_paths_matches_brute_force(T):
@@ -490,7 +483,7 @@ def test_cycle_census_from_vertex_zero_matches_oracle():
         assert ours.path_counts == oracle.path_counts, T.serialize()
         for m in range(3, T.n + 1):
             words, cycles = _length_census(_Lanes(T), m)
-            paths = {cls: _f_from_words(words, cls) for cls in path_type_classes(m - 1)}
+            paths = {cls: _f_from_words(words, cls, _Lanes(T)) for cls in path_type_classes(m - 1)}
             assert (paths, cycles) == _oracle_by_length(T, m), (T.serialize(), m)
 
 
@@ -543,6 +536,22 @@ def test_lane_walk_matches_single_tournaments():
             assert lane_cycles == expect, T.serialize()
             assert (_spanning_path_counts(_Lanes(T), (directed,))
                     == {directed: lanes.unpack(paths)[x]})
+
+
+def test_path_classes_halve_like_the_one_word_reading():
+    # the census sums each path class over its words and halves the sum; the
+    # reference reads one word per class and halves only the symmetric ones
+    for n in range(2, 11):
+        for T in random_tournaments(n, 60 + n, 2):
+            words = _length_census(_Lanes(T), n)[0]
+            assert census(T).path_counts == {cls: _f_from_words(words, cls, _Lanes(T))
+                                             for cls in path_type_classes(n - 1)}
+    lanes = _Lanes(Tournament(7, 21_845 << 6), 64)
+    words = _length_census(lanes, 7)[0]
+    halves = _class_halves(words, _path_word_classes(7), path_type_classes(6), lanes)
+    assert halves == {cls: _f_from_words(words, cls, lanes) for cls in path_type_classes(6)}
+    for x, T in enumerate(_members(lanes)):
+        assert {cls: lanes.unpack(c)[x] for cls, c in halves.items()} == census(T).path_counts
 
 
 def test_census_report_shape():

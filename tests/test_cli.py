@@ -171,9 +171,9 @@ def test_verify_random_scope(capsys):
 
 def test_verify_rosenfeld(capsys):
     code, doc = run_json(capsys, "verify", "--property", "rosenfeld",
-                         "--exhaustive", "--order", "5")
+                         "--exhaustive", "--order", "4")
     assert code == 0
-    assert doc["details"] == {"alpha": "(1,-1,1,-1)", "trivial": True}
+    assert doc["details"] == {"alpha": "(1,-1,1)", "trivial": True}
 
 
 def test_verify_max_arc_sum(capsys):

@@ -90,6 +90,28 @@ def test_differences_name_every_differing_call():
     ]
 
 
+def test_differences_show_a_multi_line_call_by_its_first_line():
+    calls = [("-c", "import sys\nprint(sys.argv)")]
+    assert cli_identity.differences(calls, [(b"", b"", 0)], [(b"", b"", 1)]) == [
+        "-c import sys: exit code differ"]
+
+
+def test_first_differing_lines_show_each_side_cut_to_the_width():
+    first = cli_identity.first_differing_lines
+    same = (b"a\nb\n", b"e\n", 0)
+    assert first(same, same) == []
+    assert first(same, (b"a\nc\n", b"e\n", 1)) == [
+        "parent stdout line 2: b", "change stdout line 2: c"]
+    # a side that stops early has no line there; stderr comes after stdout
+    assert first(same, (b"a\n", b"f\n", 0)) == [
+        "parent stdout line 2: b", "change stdout line 2: (no line)",
+        "parent stderr line 1: e", "change stderr line 1: f"]
+    long = (("x" * 200 + "\n").encode(), b"", 0)
+    lines = first(long, (("y" * 200 + "\n").encode(), b"", 0))
+    assert lines == [f"parent stdout line 1: {'x' * 98}", f"change stdout line 1: {'y' * 98}"]
+    assert all(len(line) == 120 for line in lines)
+
+
 def test_fixed_calls_reach_the_widest_word_lanes():
     calls = cli_identity.fixed_calls(PROPERTY_IDS)
     cli = ("-m", "tourcensus", "verify", "--property")

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from importlib import import_module
+from itertools import permutations
 
 import pytest
 
@@ -22,7 +23,7 @@ from tourcensus import (
 )
 from tourcensus.census import _Lanes, count_paths, path_type_classes
 from tourcensus.digraphs import CopyCounter, all_digraph_specs
-from tourcensus.tournaments import Tournament, all_tournaments
+from tourcensus.tournaments import Tournament, all_tournaments, random_tournaments, transitive
 from tourcensus.type_algebra import (
     format_type,
     generated_cycle_types,
@@ -229,6 +230,10 @@ def _bump_words(words, i, lanes):
     words[directed] = words.get(directed, 0) + (2 << lanes.width * i)
 
 
+def _bump_census_words(result, i, lanes):
+    _bump_words(result[0], i, lanes)
+
+
 def _bump_census(result, i, lanes):
     words, cycles = result
     _bump_words(words, i, lanes)
@@ -237,8 +242,8 @@ def _bump_census(result, i, lanes):
 
 
 @pytest.mark.parametrize("pid, source, bump", [
-    ("path-identity", "enumeration_word_counts", _bump_words),
-    ("enumeration-partition", "enumeration_word_counts", _bump_words),
+    ("path-identity", "_length_census", _bump_census_words),
+    ("enumeration-partition", "_length_census", _bump_census_words),
     ("cycle-identity", "_length_census", _bump_census),
     ("complement-bridge", "_length_census", _bump_census),
 ])
@@ -771,17 +776,41 @@ def test_sweep_reports_in_scope_order_whatever_the_run_order(monkeypatch, scope,
 # --- the alternating special case -------------------------------------------------
 
 def test_rosenfeld_nontrivial_case():
-    report = rosenfeld_check(Scope(mode="exhaustive", order=4))
+    report = rosenfeld_check(Scope(mode="exhaustive", order=5))
     assert report.passed
-    assert report.checked == 64
-    assert report.details == {"alpha": "(1,-1,1)", "trivial": False}
+    assert report.checked == 1024
+    assert report.details == {"alpha": "(1,-1,1,-1)", "trivial": False}
     assert report.property_id == "rosenfeld"
 
 
 def test_rosenfeld_trivial_case_flagged():
-    report = rosenfeld_check(Scope(mode="exhaustive", order=5))
+    report = rosenfeld_check(Scope(mode="exhaustive", order=4))
     assert report.passed
-    assert report.details == {"alpha": "(1,-1,1,-1)", "trivial": True}
+    assert report.details == {"alpha": "(1,-1,1)", "trivial": True}
+
+
+def _alternating_path_sets(T, lead):
+    """Arc sets of the Hamiltonian paths of T whose signs alternate from
+    ``lead``, by brute force over permutations."""
+    out = set()
+    for perm in permutations(range(T.n)):
+        if all(T.has_arc(a, b) == (lead if i % 2 == 0 else not lead)
+               for i, (a, b) in enumerate(zip(perm, perm[1:]))):
+            out.add(frozenset((a, b) if T.has_arc(a, b) else (b, a)
+                              for a, b in zip(perm, perm[1:])))
+    return out
+
+
+def test_rosenfeld_trivial_exactly_when_both_sides_count_the_same_paths():
+    for n in range(2, 8):
+        trivial = rosenfeld_check(Scope(mode="random", order=n, samples=1, seed=n)).details["trivial"]
+        # the transitive tournament has a Hamiltonian path of every sign word
+        hosts = [transitive(n), *random_tournaments(n, 30 + n, 3)]
+        for T in hosts:
+            forward, backward = _alternating_path_sets(T, True), _alternating_path_sets(T, False)
+            if forward or backward:
+                assert (forward == backward) == trivial, (n, T.serialize())
+        assert _alternating_path_sets(hosts[0], True)
 
 
 def test_rosenfeld_random_mode():

@@ -15,8 +15,10 @@ them), ``gen`` and ``hcount``, the refusals of ``PARSER_ERRORS``, and one call
 that prints the sorted ``tourcensus.__all__`` and the signature of each public
 callable, so a dropped public name or a changed signature shows as a
 difference) and every benchmark call of ``BENCH_SEEDS``, with the inputs that
-the change's ``perfbench/workloads.py`` writes.  Prints each call that differs
-and a summary; exits 1 when any call differs.  Standard library only.
+the change's ``perfbench/workloads.py`` writes.  Prints each call that differs,
+under it the first differing stdout and stderr line of each side
+(``first_differing_lines``), and a summary; exits 1 when any call differs.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from bench_record import _git, export
@@ -128,12 +131,30 @@ def run(call: tuple[str, ...], src: Path, cwd: Path) -> tuple[bytes, bytes, int]
 
 
 def differences(calls: list[tuple[str, ...]], parent: list, change: list) -> list[str]:
-    """One line per call whose stdout, stderr or exit code differs."""
+    """One line per call whose stdout, stderr or exit code differs; a
+    multi-line ``-c`` call is shown by its first line."""
     out = []
     for call, p, c in zip(calls, parent, change, strict=True):
         parts = [part for part, a, b in zip(("stdout", "stderr", "exit code"), p, c) if a != b]
         if parts:
-            out.append(f"{' '.join(call)}: {', '.join(parts)} differ")
+            shown = " ".join(call).partition("\n")[0]
+            out.append(f"{shown}: {', '.join(parts)} differ")
+    return out
+
+
+def first_differing_lines(parent: tuple, change: tuple, width: int = 120) -> list[str]:
+    """For stdout and then stderr, where they differ, the first line that
+    differs as each side prints it, cut to ``width`` characters; a side with
+    fewer lines shows ``(no line)``."""
+    out = []
+    for part, a, b in zip(("stdout", "stderr"), parent, change):
+        if a == b:
+            continue
+        sides = a.splitlines(keepends=True), b.splitlines(keepends=True)
+        k = next(i for i, (x, y) in enumerate(zip_longest(*sides)) if x != y)
+        for side, lines in zip(("parent", "change"), sides):
+            line = (lines[k] if k < len(lines) else b"(no line)").rstrip(b"\r\n")
+            out.append(f"{side} {part} line {k + 1}: {line.decode(errors='replace')}"[:width])
     return out
 
 
@@ -157,8 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     differ = differences(calls, results["parent"], results["change"])
-    for line in differ:
-        print(line)
+    changed = [(p, c) for p, c in zip(results["parent"], results["change"]) if p != c]
+    for line, (p, c) in zip(differ, changed, strict=True):
+        print(line, *first_differing_lines(p, c), sep="\n    ")
     print(f"{len(calls)} calls, {len(calls) - len(differ)} identical, {len(differ)} differ "
           f"(parent {shas['parent'][:7]}, change {shas['change'][:7]})")
     return 1 if differ else 0
