@@ -35,11 +35,10 @@ its Hamiltonian cycles, one class per cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadSubsetError,
@@ -498,8 +497,7 @@ def _spanning_path_counts(lanes: _Lanes, paths: Sequence[int]) -> dict[int, int]
 # census reports
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     """Full type-to-count maps for one tournament, explicit zeros included."""
 
     order: int
@@ -628,8 +626,7 @@ def clones(T: Tournament, seq: Sequence[int]) -> list[list[int]]:
     return [[vs[j] for j in range(i, m, step)] for i in range(step)]
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(NamedTuple):
     """All paths of one type that close into the same cycle."""
 
     paths: frozenset[frozenset[Arc]]
@@ -637,8 +634,7 @@ class PathClass:
     cycle_type: SignedTuple
 
 
-@dataclass
-class ClassPartition:
+class ClassPartition(NamedTuple):
     alpha: SignedTuple
     classes: tuple[PathClass, ...]
 

@@ -9,7 +9,6 @@ components collapse.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
@@ -75,24 +74,21 @@ def _canonical_component(kind: str, tup: SignedTuple | None) -> Component:
     return ("C", cycle_canonical(tup))
 
 
-@dataclass(frozen=True)
 class Digraph2Spec:
     """Disjoint union of oriented paths, cycles and isolated vertices.
 
-    ``order``, ``isolated``, the core and the repetition factorial (the
-    orderings of equal core components) follow from the components, so they
-    are set once here.
+    Built with its components canonicalised and sorted; it compares and hashes
+    by them alone.  ``order``, ``isolated``, the core and the repetition
+    factorial (the orderings of equal core components) follow and are stored.
     """
 
-    components: tuple[Component, ...]
+    __slots__ = ("components", "_core", "_repetitions", "order", "isolated")
 
-    def __post_init__(self):
+    def __init__(self, components: tuple[Component, ...]):
         # canonicalize on entry so equal components compare equal no matter the
         # gauge they were written in; multiplicity grouping depends on this
-        canon = tuple(
-            _canonical_component(c[0], c[1] if len(c) > 1 else None)
-            for c in self.components
-        )
+        canon = tuple(_canonical_component(c[0], c[1] if len(c) > 1 else None)
+                      for c in components)
         comps = tuple(sorted(canon, key=_component_key))
         core = tuple(c for c in comps if c[0] != "V")
         rep = 1
@@ -102,6 +98,21 @@ class Digraph2Spec:
                             ("order", sum(_component_order(c) for c in comps)),
                             ("isolated", len(comps) - len(core))):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.components,))
+
+    def __repr__(self):
+        return f"Digraph2Spec(components={self.components!r})"
+
+    def __reduce__(self):
+        return Digraph2Spec, (self.components,)
 
     def core(self) -> tuple[Component, ...]:
         """Non-trivial components, vertex components stripped."""

@@ -10,7 +10,6 @@ so a shared bug cannot confirm itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -18,7 +17,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .census import (
     ORACLE_MAX_ORDER,
     _Lanes,
-    _f_from_words,
+    _halved,
     _length_census,
     _oracle_cycle_counts,
     _oracle_path_counts,
@@ -81,41 +80,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Scope:
-    """Which tournaments a sweep visits; fully determines them."""
-
+class _ScopeFields(NamedTuple):
     mode: str
     order: int
     samples: int = 0
     seed: int = 0
     allow_large: bool = False
 
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError(f"unknown scope mode {self.mode!r}")
-        if self.mode == "exhaustive":
-            cap = EXHAUSTIVE_HARD_MAX if self.allow_large else EXHAUSTIVE_MAX_ORDER
-            if not 0 <= self.order <= cap:
-                raise ScopeTooLargeError(
-                    f"exhaustive scope capped at order {cap}, got {self.order}"
-                )
-            if self.samples or self.seed:
+
+class Scope(_ScopeFields):
+    """Which tournaments a sweep visits; fully determines them.  Each scope,
+    ``_replace`` included, passes the checks of ``__new__``."""
+
+    __slots__ = ()
+
+    def __new__(cls, mode, order, samples=0, seed=0, allow_large=False):
+        if mode not in ("exhaustive", "random"):
+            raise ValueError(f"unknown scope mode {mode!r}")
+        if mode == "exhaustive":
+            cap = EXHAUSTIVE_HARD_MAX if allow_large else EXHAUSTIVE_MAX_ORDER
+            if not 0 <= order <= cap:
+                raise ScopeTooLargeError(f"exhaustive scope capped at order {cap}, got {order}")
+            if samples or seed:
                 raise ValueError("samples and seed only apply to random scopes")
         else:
-            if not 0 <= self.order <= RANDOM_MAX_ORDER:
+            if not 0 <= order <= RANDOM_MAX_ORDER:
                 raise ScopeTooLargeError(
-                    f"random scope capped at order {RANDOM_MAX_ORDER}, got {self.order}"
-                )
-            if self.allow_large:
+                    f"random scope capped at order {RANDOM_MAX_ORDER}, got {order}")
+            if allow_large:
                 raise ValueError("allow_large only applies to exhaustive scopes")
-            _check_seed(self.seed)
-            if self.samples < 1:
+            _check_seed(seed)
+            if samples < 1:
                 raise ValueError("random scope needs samples >= 1")
-            if self.samples > RANDOM_MAX_SAMPLES:
+            if samples > RANDOM_MAX_SAMPLES:
                 raise ScopeTooLargeError(
-                    f"random scope capped at {RANDOM_MAX_SAMPLES} samples, got {self.samples}"
-                )
+                    f"random scope capped at {RANDOM_MAX_SAMPLES} samples, got {samples}")
+        return super().__new__(cls, mode, order, samples, seed, allow_large)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def is_random(self) -> bool:
@@ -137,8 +141,7 @@ class Scope:
         return doc
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     property_id: str
     scope: Scope
     checked: int
@@ -288,22 +291,32 @@ def _arc_sums(kind: str, order: int, max_arc_sum: int | None) -> tuple[int, ...]
     return tuple(range(low, max_arc_sum + 1))
 
 
+def _sides(alphas: Iterable[SignedTuple]) -> list[tuple[SignedTuple, int, bool]]:
+    """(alpha, word, symmetric) of each path type, worked out once per scope."""
+    return [(alpha, word_int(alpha), is_symmetric(alpha)) for alpha in alphas]
+
+
+def _f(words: dict[int, int], side: tuple[SignedTuple, int, bool], lanes: _Lanes) -> int:
+    """Path count of one of ``_sides`` from a table of word tallies."""
+    alpha, w, symmetric = side
+    return _halved(words.get(w, 0), alpha, lanes) if symmetric else words.get(w, 0)
+
+
 # ---------------------------------------------------------------------------
 # property checkers; each returns (checked, violations, details)
 
 
 def _check_path_identity(scope: Scope, max_arc_sum: int | None):
     """f(alpha) = f(-alpha), spanning by default, all shorter sums on request."""
-    sums = _arc_sums("path", scope.order, max_arc_sum)
+    # per arc sum, the (alpha, -alpha) pairs, each checked once
+    pairs = [(m, [_sides((alpha, negate(alpha))) for alpha in standard_tuples(m, "path")
+                  if alpha[0] > 0]) for m in _arc_sums("path", scope.order, max_arc_sum)]
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
-        for m in sums:
+        for m, sides in pairs:
             words = _length_census(lanes, m + 1)[0]
-            for alpha in standard_tuples(m, "path"):
-                if alpha[0] < 0:
-                    continue  # (alpha, -alpha) pairs checked once
-                yield (alpha, _f_from_words(words, alpha, lanes),
-                       _f_from_words(words, negate(alpha), lanes))
+            for lhs, rhs in sides:
+                yield lhs[0], _f(words, lhs, lanes), _f(words, rhs, lanes)
 
     return _sweep(scope, compare, _type_field)
 
@@ -339,13 +352,14 @@ def _check_pe_ratio(scope: Scope, _):
     """DP enumeration counts against oracle path counts: e = 2f when the type
     is symmetric (a path then has a reading from each end), e = f otherwise."""
     n = scope.order
+    sides = _sides(standard_tuples(n - 1, "path"))
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         words = _length_census(lanes, n)[0]
         by_class = _oracle_path_counts(lanes.T)
-        for alpha in standard_tuples(n - 1, "path"):
+        for alpha, w, symmetric in sides:
             f = by_class[path_canonical(alpha)]
-            yield alpha, words.get(word_int(alpha), 0), 2 * f if is_symmetric(alpha) else f
+            yield alpha, words.get(w, 0), 2 * f if symmetric else f
 
     return _sweep(scope, compare, _type_field, single=True)
 
@@ -411,13 +425,13 @@ def _check_count_formula(scope: Scope, _):
             gen = generated_cycle_types(alpha)
             weights = ([(gen.first, period_info(gen.first).t)] if gen.coincide else
                        [(g, delta(g) * period_info(g).t) for g in gen[:2]])
-            sides.append((beta, alpha, weights))
+            sides.append((beta, *_sides((alpha,)), weights))
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         gvals = _oracle_cycle_counts(lanes.T)
         words = _length_census(lanes, n)[0]
-        for beta, alpha, weights in sides:
-            yield beta, _f_from_words(words, alpha, lanes), sum(w * gvals[g] for g, w in weights)
+        for beta, side, weights in sides:
+            yield beta, _f(words, side, lanes), sum(w * gvals[g] for g, w in weights)
 
     return _sweep(scope, compare, _type_field, single=True)
 
@@ -455,15 +469,15 @@ def _check_complement_bridge(scope: Scope, _):
     """Arc reversal preserves every per-type count, paths and cycles alike."""
     n = scope.order
     both = _both_ways(scope)
+    sides = _sides(standard_tuples(n - 1, "path"))
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         # each side is swept on its own, so neither count is derived from the
         # other; both share the lanes' layout
         (words, cycles), (words_rev, cycles_rev) = both(
             lanes, lambda ln: _length_census(ln, n))
-        for alpha in standard_tuples(n - 1, "path"):
-            yield (alpha, _f_from_words(words, alpha, lanes),
-                   _f_from_words(words_rev, alpha, lanes))
+        for side in sides:
+            yield side[0], _f(words, side, lanes), _f(words_rev, side, lanes)
         if n >= 3:
             for beta in cycle_type_classes(n):
                 yield beta, cycles[beta], cycles_rev[beta]
@@ -507,13 +521,12 @@ def _check_rosenfeld(scope: Scope, _):
     if n < 2:
         raise TooShortError("alternating paths need at least 2 vertices")
     alpha = tuple(1 if i % 2 == 0 else -1 for i in range(n - 1))
-    neg = negate(alpha)
-    words = word_int(alpha), word_int(neg)
+    lhs, rhs = _sides((alpha, negate(alpha)))
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         # the two Hamiltonian path words alone, one lane per tournament of the batch
-        e = _spanning_path_counts(lanes, words)
-        yield alpha, _f_from_words(e, alpha, lanes), _f_from_words(e, neg, lanes)
+        e = _spanning_path_counts(lanes, (lhs[1], rhs[1]))
+        yield alpha, _f(e, lhs, lanes), _f(e, rhs, lanes)
 
     checked, violations, _ = _sweep(scope, compare, _type_field)
     return checked, violations, {"alpha": format_type(alpha), "trivial": not is_symmetric(alpha)}

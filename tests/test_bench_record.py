@@ -134,3 +134,30 @@ def test_no_gain_when_the_change_loses_more_runs():
     doc = bench_record.summarize({"parent": parent, "change": change}, _WALL)
     assert doc["metrics"]["wall_s"]["change_wins"] == 10
     assert not doc["metrics"]["wall_s"]["gain"]
+
+
+# run.py's stderr on a run where one census-8 call gave a wrong answer and one
+# census-10 call crashed
+_STDERR = """\
+census-8: wrong output: paths sum to 40319, not 8!
+census-10: exit code 1: Traceback (most recent call last):
+  File "<string>", line 1, in <module>
+MemoryError
+census-10: 4 rounds, wall median 0.112 s (range 0.109..0.119), paced median 0.181 s
+census-8: 4 rounds, wall median 0.090 s (range 0.087..0.093), paced median 0.147 s
+"""
+
+
+def test_paced_medians_read_every_call_line_and_skip_the_rest():
+    assert bench_record.paced_medians(_STDERR) == {"census-10": 0.181, "census-8": 0.147}
+    assert bench_record.paced_medians("") == {}
+
+
+def test_summarize_keeps_each_calls_median_per_side():
+    calls = bench_record.paced_medians(_STDERR)
+    parent = [{**_run(0.33), "calls": calls}, {**_run(0.32), "calls": {"census-10": 0.2}},
+              {**_run(0.34), "calls": calls}]
+    change = [{**_run(0.30), "calls": {"census-10": 0.16, "census-8": 0.14}}, None, _run(0.29)]
+    doc = bench_record.summarize({"parent": parent, "change": change}, _WALL)
+    assert doc["calls"] == {"census-10": {"parent": 0.181, "change": 0.16},
+                            "census-8": {"parent": 0.147, "change": 0.14}}

@@ -1,7 +1,10 @@
 """The public names of the package and its modules, and where they live."""
 
+import copy
 import importlib
+import inspect
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -11,6 +14,15 @@ import pytest
 
 import tourcensus
 import tourcensus.type_algebra as type_algebra
+from tourcensus import (
+    CensusReport,
+    ClassPartition,
+    Digraph2Spec,
+    PathClass,
+    Scope,
+    ScopeTooLargeError,
+    VerifyReport,
+)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tourcensus.__path__)
                  if m.name != "__main__")
@@ -64,10 +76,106 @@ def test_rosenfeld_check_lives_in_the_verifier():
     assert "rosenfeld_check" in verifier.__all__
 
 
-def test_package_import_leaves_the_cli_out():
-    code = "import sys, tourcensus; print('tourcensus.cli' in sys.modules)"
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter that imports this package."""
     src = str(Path(tourcensus.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_package_import_leaves_the_cli_out():
+    assert _fresh("import sys, tourcensus; print('tourcensus.cli' in sys.modules)") == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # both are slow to import; the record types are named tuples and a slots class
+    code = "import sys, tourcensus.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh(code) == "[]\n"
+
+
+# each record type, the values of its fields in constructor order, and its defaults
+_CYCLE = frozenset({(0, 1), (1, 2), (2, 0)})
+RECORDS = [
+    (CensusReport, {"order": 3, "path_counts": {(1, 1): 1}, "cycle_counts": {(3,): 1}}, {}),
+    (PathClass, {"paths": frozenset({_CYCLE - {(2, 0)}}), "cycle_arcs": _CYCLE,
+                 "cycle_type": (3,)}, {}),
+    (ClassPartition, {"alpha": (2,), "classes": ()}, {}),
+    (VerifyReport, {"property_id": "t-one", "scope": Scope("exhaustive", 3), "checked": 1,
+                    "violations": [], "details": None}, {"details": None}),
+    (Scope, {"mode": "random", "order": 4, "samples": 2, "seed": 7, "allow_large": False},
+     {"samples": 0, "seed": 0, "allow_large": False}),
+    (Digraph2Spec, {"components": (("P", (1, -1)), ("C", (1, -2)), ("V",))}, {}),
+]
+_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=_IDS)
+def test_record_constructors_keep_their_parameters(cls, fields, defaults):
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    assert {name: p.default for name, p in params.items() if p.default is not p.empty} == defaults
+    assert cls(**fields) == cls(*fields.values())
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=_IDS)
+def test_records_compare_by_their_fields(cls, fields, defaults):
+    record = cls(**fields)
+    assert record == cls(**fields) and not record != cls(**fields)
+    first = next(iter(fields))
+    other = {**fields, first: {"order": 4, "paths": frozenset(), "alpha": (1, 1),
+                               "property_id": "eqsym", "mode": "exhaustive",
+                               "components": (("V",),)}[first]}
+    if cls is Scope:
+        other.update(samples=0, seed=0)
+    assert record != cls(**other)
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=_IDS)
+def test_record_reprs_name_every_field(cls, fields, defaults):
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=_IDS)
+def test_records_refuse_assignment(cls, fields, defaults):
+    record = cls(**fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=_IDS)
+def test_records_survive_copy_and_pickle(cls, fields, defaults):
+    record = cls(**fields)
+    assert copy.copy(record) == copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("cls", [PathClass, Scope, Digraph2Spec])
+def test_hashable_records_stay_hashable(cls):
+    fields = next(f for c, f, _ in RECORDS if c is cls)
+    assert len({cls(**fields), cls(**fields)}) == 1
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS[:5], ids=_IDS[:5])
+def test_named_tuple_records_unpack_and_replace(cls, fields, defaults):
+    record = cls(**fields)
+    assert tuple(record) == record == tuple(fields.values())
+    assert record._asdict() == fields
+    assert record._replace(**fields) == record
+
+
+def test_scope_replace_runs_the_scope_checks():
+    scope = Scope("random", 4, samples=2)
+    assert scope._replace(seed=9) == Scope("random", 4, 2, 9)
+    with pytest.raises(ScopeTooLargeError):
+        scope._replace(order=13)
+
+
+def test_digraph_specs_canonicalise_on_construction():
+    spec = Digraph2Spec((("V",), ("C", (-2, 1)), ("P", (-2,))))
+    assert spec == Digraph2Spec.parse("P(2);C(1,-2);V")
+    assert spec.components == (("P", (2,)), ("C", (1, -2)), ("V",))
+    assert (spec.order, spec.isolated) == (7, 1)

@@ -1,6 +1,5 @@
 """Unit tests for property sweeps and their reports."""
 
-import dataclasses
 import json
 from importlib import import_module
 from itertools import permutations
@@ -458,8 +457,8 @@ def _class_sizes_fault(monkeypatch, scope, faulty):
         part = real(T, alpha)
         if T.bits in faulty and part.classes:
             first = part.classes[0]
-            shrunk = dataclasses.replace(first, paths=frozenset(sorted(first.paths)[1:]))
-            part.classes = (shrunk,) + part.classes[1:]
+            shrunk = first._replace(paths=frozenset(sorted(first.paths)[1:]))
+            return part._replace(classes=(shrunk,) + part.classes[1:])
         return part
     monkeypatch.setattr(verify_mod, "path_classes", path_classes)
 

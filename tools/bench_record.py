@@ -18,8 +18,10 @@ alternates from one seed to the next.  Then one
 per-layer counters.  Standard library only; nothing is installed.
 
 The file holds, per workload and side, the median and quartiles of every
-end-to-end metric with the pair wins, ``correct`` and ``failed``, and the
-traced metrics; also ``nproc``, the Python version, both shas and the seeds.
+end-to-end metric with the pair wins, ``correct`` and ``failed``, the median
+over seeds of each call's paced median (``calls``; ``run.py`` prints those to
+stderr), and the traced metrics; also ``nproc``, the Python version, both shas
+and the seeds.
 A gain counts only when the change wins at least nine in ten pairs, its
 median beats the parent's by more than the parent's quartile distance, and it
 fails no more operations and loses no more runs than the parent.  A metric
@@ -33,13 +35,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from statistics import quantiles
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(21, 31))
@@ -48,9 +51,12 @@ WIN_SHARE = 0.9  # the share of pairs a gain must win
 # faults of perfbench/ as of this tool's first file; drop a line once it is mended
 KNOWN_FAULTS = (
     "peak_rss_mib includes perfbench/run.py's own high-water mark (ru_maxrss of "
-    "waited children). Its bound is 0.1 MiB; only on copies does it move by up to "
-    "about 0.3 MiB with the checkout directory alone (the hcount-14 child's heap "
-    "layout), and such moves there are noise.",
+    "waited children). Its bound is 0.1 MiB, and it moves with the checkout "
+    "directory's name alone: on copies by up to about 0.3 MiB (the hcount-14 "
+    "child's heap layout), and on census by +0.12 to +0.17 MiB between two names of "
+    "different lengths, where the census children peak lower and the metric is "
+    "run.py's own mark. Equal-length names, like this tool's parent/ and change/, "
+    "showed no move; other moves of that size are noise.",
     "digraphs._span_tables is not wrapped by perfbench/tracing.py, so on copies "
     "the batched span-table building is counted in verifier.self_s.",
     "census._oracle_path_counts and census._oracle_cycle_counts are not wrapped by "
@@ -112,12 +118,29 @@ def compare_metric(pairs: list[tuple[float, float]], better: str,
     return doc
 
 
+# run.py's stderr line for each call of a timed run, failed calls included
+_CALL_LINE = re.compile(r"(\S+): \d+ rounds, wall median [\d.]+ s "
+                        r"\(range [\d.]+\.\.[\d.]+\), paced median ([\d.]+) s")
+
+
+def paced_medians(stderr: str) -> dict[str, float]:
+    """Each call's paced median from a benchmark run's stderr, by call name."""
+    return {m[1]: float(m[2]) for m in map(_CALL_LINE.fullmatch, stderr.splitlines()) if m}
+
+
 def summarize(runs: dict[str, list[dict | None]], end_to_end: list[dict]) -> dict:
     """One workload's record from its runs per side, listed by seed; a run is
-    the benchmark's result line, or None when it produced none.  No metric
-    gains when the change fails more operations or loses more runs than the
-    parent."""
-    doc: dict = {"sides": {}, "metrics": {}}
+    the benchmark's result line, or None when it produced none.  A result line
+    may carry its calls' paced medians (``calls``); each call keeps, per side,
+    the median of those over the runs.  No metric gains when the change fails
+    more operations or loses more runs than the parent."""
+    doc: dict = {"sides": {}, "metrics": {}, "calls": {}}
+    for side, results in runs.items():
+        for r in results:
+            for name, value in (r or {}).get("calls", {}).items():
+                doc["calls"].setdefault(name, {}).setdefault(side, []).append(value)
+    doc["calls"] = {name: {side: median(values) for side, values in sides.items()}
+                    for name, sides in doc["calls"].items()}
     for side, results in runs.items():
         done = [r for r in results if r is not None]
         doc["sides"][side] = {
@@ -166,7 +189,8 @@ def export(sha: str, where: Path) -> Path:
 
 def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
               seconds: float, trace: int) -> dict | None:
-    """One benchmark run in ``checkout``: its JSON result line, or None."""
+    """One benchmark run in ``checkout``: its JSON result line with its
+    calls' paced medians added as ``calls``, or None."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -176,10 +200,11 @@ def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
               file=sys.stderr)
         return None
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except json.JSONDecodeError:
         print(f"  {workload} seed {seed}: no result line", file=sys.stderr)
         return None
+    return {**result, "calls": paced_medians(proc.stderr)}
 
 
 def record(parent: str) -> dict:
@@ -252,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"change {m['change']['median']:.3f} wins {m['change_wins']}/{m['pairs']}"
                       f" gain={m['gain']} beyond_bound={m['beyond_bound']}"
                       f" unresolved={m['unresolved']}")
+        for call, sides in entry["calls"].items():
+            print(f"  {call}: " + " ".join(f"{side} {value:.3f}" for side, value in sides.items()))
     return 0
 
 
