@@ -134,13 +134,14 @@ def summarize(runs: dict[str, list[dict | None]], end_to_end: list[dict]) -> dic
     may carry its calls' paced medians (``calls``); each call keeps, per side,
     the median of those over the runs.  No metric gains when the change fails
     more operations or loses more runs than the parent."""
-    doc: dict = {"sides": {}, "metrics": {}, "calls": {}}
+    calls: dict[str, dict[str, list[float]]] = {}
     for side, results in runs.items():
         for r in results:
             for name, value in (r or {}).get("calls", {}).items():
-                doc["calls"].setdefault(name, {}).setdefault(side, []).append(value)
-    doc["calls"] = {name: {side: median(values) for side, values in sides.items()}
-                    for name, sides in doc["calls"].items()}
+                calls.setdefault(name, {}).setdefault(side, []).append(value)
+    doc: dict = {"sides": {}, "metrics": {},
+                 "calls": {name: {side: median(values) for side, values in sides.items()}
+                           for name, sides in calls.items()}}
     for side, results in runs.items():
         done = [r for r in results if r is not None]
         doc["sides"][side] = {
