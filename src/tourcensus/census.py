@@ -65,7 +65,6 @@ from .type_algebra import (
     expand_signs,
     format_type,
     is_symmetric,
-    neg_reverse,
     path_type_classes,
     period_info,
     word_int,
@@ -364,14 +363,9 @@ def _halved(readings: int, tup: SignedTuple, lanes: _Lanes | None = None) -> int
     return readings >> 1
 
 
-def _per_path(e: int, alpha: SignedTuple, lanes: _Lanes | None = None) -> int:
+def _per_path(e: int, alpha: SignedTuple) -> int:
     """Paths behind ``e`` enumerations: symmetric types read each from both ends."""
-    return _halved(e, alpha, lanes) if is_symmetric(alpha) else e
-
-
-def _f_from_words(words: dict[int, int], alpha: SignedTuple, lanes: _Lanes) -> int:
-    """Path count of ``alpha`` from a table of word tallies."""
-    return _per_path(words.get(word_int(alpha), 0), alpha, lanes)
+    return _halved(e, alpha) if is_symmetric(alpha) else e
 
 
 def count_paths(T: Tournament, alpha: Iterable[int]) -> int:
@@ -541,7 +535,7 @@ def _closed_sequences(n: int) -> Iterator[tuple[int, ...]]:
 def _hamiltonian_cycles(T: Tournament) -> tuple[tuple[int, tuple[Arc, ...]], ...]:
     """Every Hamiltonian cycle of T (order 3 and up) once, as the closed word
     and the arcs of its reading from ``_closed_sequences``.  Cached for the
-    last T alone: a class-size check asks for every path type of one T."""
+    last T alone: ``path_classes`` reads it once per path type of one T."""
     return tuple((_closed_word_of(T, vs), _closed_arcs(T, vs)) for vs in _closed_sequences(T.n))
 
 
@@ -639,12 +633,30 @@ class ClassPartition(NamedTuple):
     classes: tuple[PathClass, ...]
 
 
+def _cycle_cuts(T: Tournament) -> Iterator[tuple[int, tuple[Arc, ...], dict[SignedTuple, list[Arc]]]]:
+    """Every Hamiltonian cycle of T (order 3 and up) cut at each of its arcs
+    for every path type at once, in the order of each cycle's sorted arcs: its
+    closed word, its arcs, and per path class the arcs whose cut leaves a path
+    of the class.  The cut at j reads the path from arc j on, as in ``_cut``;
+    it drops arc j - 1."""
+    n = T.n
+    low = (1 << (n - 1)) - 1
+    classes = _path_word_classes(n)
+    for w, arcs in sorted(_hamiltonian_cycles(T), key=lambda cycle: sorted(cycle[1])):
+        ww = w | w << n
+        cuts: dict[SignedTuple, list[Arc]] = {}
+        for j in range(n):
+            cuts.setdefault(classes[ww >> j & low], []).append(arcs[j - 1])
+        yield w, arcs, cuts
+
+
 def path_classes(T: Tournament, alpha: Iterable[int]) -> ClassPartition:
     """Partition the spanning paths of type ``alpha`` by generated cycle.
 
     Each Hamiltonian path closes into one cycle via the arc between its
     endpoints; paths landing on the same cycle form a class.  The classes
-    are cut from the oracle's cycles, so the order is capped like the oracle's.
+    are cut from the oracle's cycles by ``_cycle_cuts``, so the order is
+    capped like the oracle's.
     """
     _oracle_guard(T)
     a = check_standard_path(alpha)
@@ -653,16 +665,11 @@ def path_classes(T: Tournament, alpha: Iterable[int]) -> ClassPartition:
         raise TooShortError("generated cycles need at least 3 vertices")
     if arc_sum(a) + 1 != n:
         raise TypeTooLongError(f"type {a} is not spanning for order {n}")
-    words = {word_int(a), word_int(neg_reverse(a))}
-    low = (1 << (n - 1)) - 1
+    cls = _path_word_classes(n)[word_int(a)]  # a word and its negated reversal share it
     types = _cycle_word_classes(n)
     classes = []
-    for w, arcs in _hamiltonian_cycles(T):
-        ww = w | w << n
-        # the cut at j reads the path from arc j on, as in ``_cut``; it drops arc j - 1
-        cuts = [arcs[j - 1] for j in range(n) if (ww >> j & low) in words]
-        if cuts:
+    for w, arcs, cuts in _cycle_cuts(T):
+        if cls in cuts:
             cycle = frozenset(arcs)
-            classes.append(PathClass(frozenset(cycle - {arc} for arc in cuts), cycle, types[w]))
-    classes.sort(key=lambda c: sorted(c.cycle_arcs))
+            classes.append(PathClass(frozenset(cycle - {arc} for arc in cuts[cls]), cycle, types[w]))
     return ClassPartition(a, tuple(classes))

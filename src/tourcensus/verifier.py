@@ -17,13 +17,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .census import (
     ORACLE_MAX_ORDER,
     _Lanes,
+    _cycle_cuts,
     _halved,
     _length_census,
     _oracle_cycle_counts,
     _oracle_path_counts,
     _spanning_path_counts,
     oracle_cycle_sets,
-    path_classes,
 )
 from .digraphs import CopyCounter, all_digraph_specs, random_digraph_spec
 from .errors import (
@@ -44,6 +44,7 @@ from .tournaments import (
 )
 from .type_algebra import (
     SignedTuple,
+    _cycle_word_classes,
     cycle_canonical,
     cycle_type_classes,
     delta,
@@ -366,14 +367,22 @@ def _check_pe_ratio(scope: Scope, _):
 
 def _check_class_sizes(scope: Scope, _):
     """Paths of one type grouped by generated cycle: each group has exactly
-    delta * t members (t generic, 2t direction-symmetric, n circuit)."""
+    delta * t members (t generic, 2t direction-symmetric, n circuit).
+
+    Each tournament's cycles are cut once for every path type (``_cycle_cuts``);
+    a group is a cycle's cuts of one type, kept as its cycle type and size
+    alone.  The groups come per type, in ``path_classes`` order."""
     n = scope.order
+    types = _cycle_word_classes(n)
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
+        groups: dict[SignedTuple, list[tuple[SignedTuple, int]]] = {}
+        for w, _, cuts in _cycle_cuts(lanes.T):
+            for alpha, arcs in cuts.items():
+                groups.setdefault(alpha, []).append((types[w], len(arcs)))
         for alpha in path_type_classes(n - 1):
-            for cls in path_classes(lanes.T, alpha).classes:
-                beta = cls.cycle_type
-                yield (alpha, beta), len(cls.paths), delta(beta) * period_info(beta).t
+            for beta, size in groups.get(alpha, ()):
+                yield (alpha, beta), size, delta(beta) * period_info(beta).t
 
     return _sweep(scope, compare, _type_and_cycle, single=True)
 

@@ -45,15 +45,17 @@ from tourcensus import (
     word_int,
 )
 from tourcensus.census import (
-    CensusReport, _Lanes, _advance, _class_halves, _cut, _f_from_words, _halved, _lane_ones,
+    CensusReport, ClassPartition, PathClass, _Lanes, _advance, _class_halves, _cut,
+    _halved, _hamiltonian_cycles, _lane_ones,
     _length_census, _oracle_cycle_counts, _oracle_path_counts, _orbit_sums, _per_cycle, _spanning_path_counts,
     _split_lanes, _every_word_walk, _word_set_walk,
 )
 from tourcensus.errors import DivisibilityViolationError, ParityViolationError
 from tourcensus.type_algebra import (
     _cycle_word_classes, _cyclic_runs_from_word, _path_word_classes, _runs_from_word,
-    cycle_canonical, path_canonical,
+    cycle_canonical, delta, path_canonical, period_info,
 )
+from tourcensus import verifier as verifier_mod
 from tourcensus.verifier import _runs
 
 TT3 = Tournament.parse("3:111")
@@ -471,6 +473,13 @@ def _oracle_by_length(T, m):
     return dict(paths), dict(cycles)
 
 
+def _f_from_words(words, alpha, lanes):
+    """Reference path count of ``alpha`` from a table of word tallies: the
+    tally of its one word, halved for a symmetric type alone."""
+    e = words.get(word_int(alpha), 0)
+    return _halved(e, alpha, lanes) if is_symmetric(alpha) else e
+
+
 def test_cycle_census_from_vertex_zero_matches_oracle():
     # the census reads each cycle from its lowest vertex only and paths by
     # cutting those readings; the oracle classifies every permutation of every
@@ -717,3 +726,52 @@ def test_path_classes_close_only_into_the_generated_types(n):
     for alpha in alphas:
         first, second, _ = generated_cycle_types(alpha)
         assert closed[alpha] == {first, second}, alpha
+
+
+def _path_classes_by_type(T, alpha):
+    """Reference ``path_classes``: one scan of T's cycles for the one type,
+    matching the cuts that spell its word or the word's negated reversal,
+    then the classes sorted by their cycles' arcs."""
+    n = T.n
+    words = {word_int(alpha), word_int(neg_reverse(alpha))}
+    low = (1 << (n - 1)) - 1
+    types = _cycle_word_classes(n)
+    classes = []
+    for w, arcs in _hamiltonian_cycles(T):
+        ww = w | w << n
+        cuts = [arcs[j - 1] for j in range(n) if (ww >> j & low) in words]
+        if cuts:
+            cycle = frozenset(arcs)
+            classes.append(PathClass(frozenset(cycle - {arc} for arc in cuts), cycle, types[w]))
+    classes.sort(key=lambda c: sorted(c.cycle_arcs))
+    return ClassPartition(tuple(alpha), tuple(classes))
+
+
+def _cut_hosts():
+    """Every tournament of orders 3-5 and seeded ones of orders 6-8."""
+    hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
+    return hosts + [T for n, k in ((6, 3), (7, 2), (8, 1)) for T in random_tournaments(n, 25 + n, k)]
+
+
+def test_path_classes_match_the_per_type_cut():
+    # every standard tuple, the non-canonical phase included, e.g. (-2,)
+    for T in _cut_hosts():
+        for alpha in standard_tuples(T.n - 1, "path"):
+            assert path_classes(T, alpha) == _path_classes_by_type(T, alpha), (T.serialize(), alpha)
+
+
+def test_class_sizes_stream_matches_per_type_path_classes(monkeypatch):
+    # the sweep's (alpha, beta) keys and sides, read off its compare, against
+    # the classes of per-type ``path_classes`` calls in type order
+    compares = {}
+
+    def sweep(scope, compare, *args, **kwargs):
+        compares[scope.order] = compare
+        return 0, [], None
+    monkeypatch.setattr(verifier_mod, "_sweep", sweep)
+    for n in range(3, 9):
+        verifier_mod._check_class_sizes(Scope("random", n, 1), None)
+    for T in _cut_hosts():
+        expect = [((alpha, c.cycle_type), len(c.paths), delta(c.cycle_type) * period_info(c.cycle_type).t)
+                  for alpha in path_type_classes(T.n - 1) for c in path_classes(T, alpha).classes]
+        assert list(compares[T.n](_Lanes(T))) == expect, T.serialize()

@@ -26,7 +26,8 @@ def test_every_property_runs_on_every_scope():
     calls = cli_identity.fixed_calls(PROPERTY_IDS)
     for pid in PROPERTY_IDS:
         mine = [c for c in _verify_calls(calls, pid)
-                if c not in cli_identity.PARSER_ERRORS + cli_identity.WIDE_WORD_LANES]
+                if c not in cli_identity.PARSER_ERRORS + cli_identity.WIDE_WORD_LANES
+                + cli_identity.ORACLE_CAP]
         orders = [c[c.index("--order") + 1] for c in mine if "--exhaustive" in c
                   and "--max-arc-sum" not in c]
         assert orders == [str(n) for n in range(6)], pid
@@ -67,7 +68,7 @@ def test_fixed_calls_reach_the_parser_errors():
          "--samples", "0"),
     ]
     assert calls[-1 - len(expected):-1] == expected  # just before the public names
-    assert len(calls) == len(PROPERTY_IDS) * 15 + 2 + 17 + len(expected) + 1
+    assert len(calls) == len(PROPERTY_IDS) * 15 + 2 + 2 + 17 + len(expected) + 1
 
 
 def test_fixed_calls_reach_random_censuses_at_small_orders_and_order_9():
@@ -123,3 +124,12 @@ def test_fixed_calls_reach_the_widest_word_lanes():
     ]
     start = len(PROPERTY_IDS) * 15  # right after the per-property scopes
     assert calls[start:start + 2] == wide
+
+
+def test_fixed_calls_reach_the_oracle_cap_on_the_cycle_list_sweeps():
+    calls = cli_identity.fixed_calls(PROPERTY_IDS)
+    cli = ("-m", "tourcensus", "verify", "--property")
+    capped = [(*cli, pid, "--random", "--order", "8", "--samples", "3", "--seed", "11")
+              for pid in ("class-sizes", "eqsym")]
+    start = len(PROPERTY_IDS) * 15 + 2  # right after the widest word lanes
+    assert calls[start:start + 2] == capped

@@ -1,6 +1,7 @@
 """Unit tests for property sweeps and their reports."""
 
 import json
+import tracemalloc
 from importlib import import_module
 from itertools import permutations
 
@@ -450,23 +451,24 @@ def _eqsym_types_fault(monkeypatch, scope, faulty):
 
 
 def _class_sizes_fault(monkeypatch, scope, faulty):
-    # the first class of every type loses a path
-    real = verify_mod.path_classes
+    # the first class of every type loses a path: its first cycle with cuts
+    # of the type loses one of them
+    real = verify_mod._cycle_cuts
 
-    def path_classes(T, alpha):
-        part = real(T, alpha)
-        if T.bits in faulty and part.classes:
-            first = part.classes[0]
-            shrunk = first._replace(paths=frozenset(sorted(first.paths)[1:]))
-            return part._replace(classes=(shrunk,) + part.classes[1:])
-        return part
-    monkeypatch.setattr(verify_mod, "path_classes", path_classes)
+    def cycle_cuts(T):
+        cut = set()  # the types whose first class has lost its path
+        for w, arcs, cuts in real(T):
+            if T.bits in faulty:
+                cuts = {alpha: dropped[alpha not in cut:] for alpha, dropped in cuts.items()}
+                cut.update(cuts)
+            yield w, arcs, cuts
+    monkeypatch.setattr(verify_mod, "_cycle_cuts", cycle_cuts)
 
     def records_of(index, T):
         if T.bits not in faulty:
             return
         for alpha in path_type_classes(scope.order - 1):
-            classes = real(T, alpha).classes
+            classes = census_mod.path_classes(T, alpha).classes
             if classes:
                 size = len(classes[0].paths)
                 yield {"type": format_type(alpha),
@@ -539,6 +541,19 @@ def test_eqsym_type_records_come_before_tournament_records(monkeypatch):
     report = verify("eqsym", scope)
     assert len(types) == 8 and not report.passed
     assert report.violations == (types + _expected(scope, sets))[:10]
+
+
+def test_class_sizes_holds_no_arc_sets_per_type():
+    # at the oracle's cap the sweep keeps a cycle type and a size per class;
+    # holding every type's classes as arc sets for one tournament reads about 22 MiB
+    tracemalloc.start()
+    try:
+        report = verify("class-sizes", Scope("random", 8, 1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked
+    assert peak < 4 << 20
 
 
 # --- every sweep visits its scope through _runs, in complement pairs ----------------

@@ -10,8 +10,9 @@ that side's ``src``, and its stdout, stderr and exit code are compared byte
 for byte.  The calls are the fixed list ``fixed_calls()`` (every property on
 small exhaustive and random scopes and with arc-sum bounds below the spanning
 sum at orders 4, 6 and 9, the two ``WIDE_WORD_LANES`` identity sweeps at
-order 11, an unknown id, ``census`` (random ones at ``CENSUS_ORDERS`` among
-them), ``gen`` and ``hcount``, the refusals of ``PARSER_ERRORS``, and one call
+order 11, the two ``ORACLE_CAP`` sweeps at order 8, an unknown id, ``census``
+(random ones at ``CENSUS_ORDERS`` among them), ``gen`` and ``hcount``, the
+refusals of ``PARSER_ERRORS``, and one call
 that prints the sorted ``tourcensus.__all__`` and the signature of each public
 callable, so a dropped public name or a changed signature shows as a
 difference) and every benchmark call of ``BENCH_SEEDS``, with the inputs that
@@ -68,6 +69,10 @@ WIDE_WORD_LANES = (  # the every-word walk at its most word lanes per count
     (*CLI, "verify", "--property", "cycle-identity", "--random", "--order", "11",
      "--max-arc-sum", "11", "--samples", "1", "--seed", "11"),
 )
+ORACLE_CAP = (  # the two sweeps that read the oracle's cycle list, at the oracle's cap
+    (*CLI, "verify", "--property", "class-sizes", "--random", "--order", "8", *RANDOM),
+    (*CLI, "verify", "--property", "eqsym", "--random", "--order", "8", *RANDOM),
+)
 CENSUS_ORDERS = (0, 1, 2, 9)  # random censuses below the cycle guards, and at order 9
 BENCH_SEEDS = (1, 7)
 HOST7 = "7:001011010010000111101"
@@ -84,6 +89,7 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
         calls += [(*verify, *scope) for scope in ARC_SUM_SCOPES]
     calls += [
         *WIDE_WORD_LANES,
+        *ORACLE_CAP,
         (*CLI, "verify", "--property", "no-such-property", "--exhaustive", "--order", "3"),
         (*CLI, "census", "--order", "5", "--tournament", HOST5),
         (*CLI, "census", "--order", "7", "--random", "--seed", "3"),
