@@ -545,7 +545,8 @@ def test_eqsym_type_records_come_before_tournament_records(monkeypatch):
 
 def test_class_sizes_holds_no_arc_sets_per_type():
     # at the oracle's cap the sweep keeps a cycle type and a size per class;
-    # holding every type's classes as arc sets for one tournament reads about 22 MiB
+    # every type's ``path_classes`` of one such tournament, held at once, peak at
+    # about 32 MiB
     tracemalloc.start()
     try:
         report = verify("class-sizes", Scope("random", 8, 1, 3))
