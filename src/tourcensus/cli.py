@@ -20,7 +20,6 @@ import sys
 from typing import Iterator
 
 from .census import census
-from .digraphs import Digraph2Spec, check_complement_invariance, count_copies
 from .errors import ParseError, ScopeTooLargeError, TourCensusError
 from .tournaments import (
     EXHAUSTIVE_HARD_MAX,
@@ -32,7 +31,6 @@ from .tournaments import (
     transitive,
 )
 from .type_algebra import _MAX_DIGITS
-from .verifier import PROPERTY_IDS, Scope, verify
 
 __all__ = ["GEN_MAX_COUNT", "build_parser", "main", "entry"]
 
@@ -49,6 +47,20 @@ def _int(text: str) -> int:
 
 
 _int.__name__ = "int"  # argparse names it in "invalid int value: 'abc'"
+
+
+class _PropertyIds:
+    """``verifier.PROPERTY_IDS`` as ``--property``'s choices, imported on the
+    first test or listing.  With a metavar, argparse reads the choices only to
+    check a given id or to name them in its error, so a parser built for any
+    other subcommand leaves ``verifier`` unloaded."""
+
+    def __contains__(self, pid: object) -> bool:
+        return pid in iter(self)
+
+    def __iter__(self) -> Iterator[str]:
+        from .verifier import PROPERTY_IDS
+        return iter(PROPERTY_IDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", help="sweep a counting property over a tournament scope")
-    p.add_argument("--property", required=True, metavar="ID",
-                   choices=PROPERTY_IDS)
+    p.add_argument("--property", required=True, metavar="ID", choices=_PropertyIds())
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", action="store_true")
@@ -160,6 +171,8 @@ def _cmd_census(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
+    from .verifier import Scope, verify
+
     _random_only(args, samples=1, seed=0)
     mode = "random" if args.random else "exhaustive"
     scope = Scope(mode=mode, order=args.order,
@@ -170,6 +183,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_hcount(args) -> tuple[int, dict]:
+    from .digraphs import Digraph2Spec, check_complement_invariance, count_copies
+
     T = Tournament.parse(args.tournament)
     spec = Digraph2Spec.parse(args.digraph)
     doc: dict = {"schema": 1, "tournament": T.serialize(), "digraph": spec.render()}

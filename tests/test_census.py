@@ -45,7 +45,7 @@ from tourcensus import (
     word_int,
 )
 from tourcensus.census import (
-    CensusReport, ClassPartition, PathClass, _Lanes, _advance, _class_halves, _cut,
+    CensusReport, ClassPartition, PathClass, _Lanes, _advance, _class_halves, _cut, _cycle_cuts,
     _halved, _hamiltonian_cycles, _lane_ones,
     _length_census, _oracle_cycle_counts, _oracle_path_counts, _orbit_sums, _per_cycle, _spanning_path_counts,
     _split_lanes, _every_word_walk, _word_set_walk,
@@ -775,3 +775,12 @@ def test_class_sizes_stream_matches_per_type_path_classes(monkeypatch):
         expect = [((alpha, c.cycle_type), len(c.paths), delta(c.cycle_type) * period_info(c.cycle_type).t)
                   for alpha in path_type_classes(T.n - 1) for c in path_classes(T, alpha).classes]
         assert list(compares[T.n](_Lanes(T))) == expect, T.serialize()
+
+
+def test_cycle_cuts_come_in_sorted_arc_order():
+    # every cycle once, read off the oracle's list, in the order of its sorted arcs
+    for T in _cut_hosts():
+        cycles = [(w, arcs) for w, arcs, _ in _cycle_cuts(T)]
+        assert sorted(cycles) == sorted(_hamiltonian_cycles(T)), T.serialize()
+        keys = [sorted(arcs) for _, arcs in cycles]
+        assert keys == sorted(keys), T.serialize()

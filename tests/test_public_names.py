@@ -88,6 +88,46 @@ def test_package_import_leaves_the_cli_out():
     assert _fresh("import sys, tourcensus; print('tourcensus.cli' in sys.modules)") == "False\n"
 
 
+# a call of each subcommand, and the modules of the two loaded on first use
+# that it loads: each subcommand imports only what it runs
+_SUBCOMMAND_LOADS = [
+    (["census", "--order", "3", "--tournament", "3:111"], []),
+    (["gen", "--all", "--order", "2"], []),
+    (["hcount", "--tournament", "3:111", "--digraph", "P(1)"], ["digraphs"]),
+    (["verify", "--property", "path-identity", "--exhaustive", "--order", "3"], ["verifier"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _SUBCOMMAND_LOADS, ids=[a[0] for a, _ in _SUBCOMMAND_LOADS])
+def test_each_subcommand_loads_only_what_it_runs(argv, loaded):
+    code = ("import sys\nfrom tourcensus.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted({'tourcensus.digraphs', 'tourcensus.verifier'} & set(sys.modules)))")
+    assert _fresh(code).splitlines()[-1] == repr([f"tourcensus.{m}" for m in loaded])
+
+
+def test_package_resolves_its_lazy_modules_on_first_use():
+    code = ("import sys, tourcensus\n"
+            "print(tourcensus.verifier is sys.modules['tourcensus.verifier'],\n"
+            "      tourcensus.Digraph2Spec is sys.modules['tourcensus.digraphs'].Digraph2Spec,\n"
+            "      hasattr(tourcensus, 'no_such_name'))")
+    assert _fresh(code) == "True True False\n"
+
+
+def test_dir_lists_every_public_name():
+    code = ("import tourcensus\nnames = set(dir(tourcensus))\n"
+            "print(set(tourcensus.__all__) <= names, {'digraphs', 'verifier'} <= names)")
+    assert _fresh(code) == "True True\n"
+
+
+def test_star_import_binds_every_public_name():
+    code = ("ns = {}\nexec('from tourcensus import *', ns)\nimport tourcensus\n"
+            "bound = set(ns) - {'__builtins__'}\n"
+            "print(bound == set(tourcensus.__all__), len(bound),\n"
+            "      all(ns[name] is getattr(tourcensus, name) for name in bound))")
+    assert _fresh(code) == f"True {len(tourcensus.__all__)} True\n"
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # both are slow to import; the record types are named tuples and a slots class
     code = "import sys, tourcensus.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

@@ -12,7 +12,7 @@ small exhaustive and random scopes and with arc-sum bounds below the spanning
 sum at orders 4, 6 and 9, the two ``WIDE_WORD_LANES`` identity sweeps at
 order 11, the two ``ORACLE_CAP`` sweeps at order 8, an unknown id, ``census``
 (random ones at ``CENSUS_ORDERS`` among them), ``gen`` and ``hcount``, the
-refusals of ``PARSER_ERRORS``, and one call
+refusals of ``PARSER_ERRORS``, the ``--help`` calls of ``HELP``, and one call
 that prints the sorted ``tourcensus.__all__`` and the signature of each public
 callable, so a dropped public name or a changed signature shows as a
 difference) and every benchmark call of ``BENCH_SEEDS``, with the inputs that
@@ -73,6 +73,10 @@ ORACLE_CAP = (  # the two sweeps that read the oracle's cycle list, at the oracl
     (*CLI, "verify", "--property", "class-sizes", "--random", "--order", "8", *RANDOM),
     (*CLI, "verify", "--property", "eqsym", "--random", "--order", "8", *RANDOM),
 )
+HELP = (  # the root parser's help, through the cli module's own entry, then each subcommand's
+    ("-m", "tourcensus.cli", "--help"),
+    *((*CLI, command, "--help") for command in ("census", "verify", "hcount", "gen")),
+)
 CENSUS_ORDERS = (0, 1, 2, 9)  # random censuses below the cycle guards, and at order 9
 BENCH_SEEDS = (1, 7)
 HOST7 = "7:001011010010000111101"
@@ -106,6 +110,7 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
         (*CLI, "hcount", "--tournament", HOST5, "--digraph", "P(1);P(1);V",
          "--complement-check"),
         (*CLI, "hcount", "--tournament", HOST5, "--digraph", "P(1,1)"),
+        *HELP,
         *PARSER_ERRORS,
         PUBLIC_NAMES,
     ]
