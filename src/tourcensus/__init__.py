@@ -20,8 +20,6 @@ module.
 
 from importlib import import_module
 
-from . import census, errors, tournaments, type_algebra
-
 # ``census`` the function replaces ``census`` the module from here on
 from .type_algebra import *  # noqa: E402,F401,F403
 from .tournaments import *  # noqa: E402,F401,F403
