@@ -535,16 +535,8 @@ def _closed_sequences(n: int) -> Iterator[tuple[int, ...]]:
 def _hamiltonian_cycles(T: Tournament) -> tuple[tuple[int, tuple[Arc, ...]], ...]:
     """Every Hamiltonian cycle of T (order 3 and up) once, as the closed word
     and the arcs of its reading from ``_closed_sequences``.  Cached for the
-    last T alone, as is ``_cycles_by_arcs``, the same list in sorted-arc order."""
+    last T alone: ``path_classes`` reads it once per path type of one T."""
     return tuple((_closed_word_of(T, vs), _closed_arcs(T, vs)) for vs in _closed_sequences(T.n))
-
-
-@lru_cache(maxsize=1)
-def _cycles_by_arcs(T: Tournament) -> tuple[tuple[int, tuple[Arc, ...]], ...]:
-    """``_hamiltonian_cycles(T)`` in the order of each cycle's sorted arcs.
-    Sorted once per T: ``path_classes`` reads it once per path type of one T,
-    and ``oracle_cycle_sets`` reads the unsorted list, with no sort."""
-    return tuple(sorted(_hamiltonian_cycles(T), key=lambda cycle: sorted(cycle[1])))
 
 
 def _oracle_guard(T: Tournament) -> None:
@@ -650,7 +642,7 @@ def _cycle_cuts(T: Tournament) -> Iterator[tuple[int, tuple[Arc, ...], dict[Sign
     n = T.n
     low = (1 << (n - 1)) - 1
     classes = _path_word_classes(n)
-    for w, arcs in _cycles_by_arcs(T):
+    for w, arcs in sorted(_hamiltonian_cycles(T), key=lambda cycle: sorted(cycle[1])):
         ww = w | w << n
         cuts: dict[SignedTuple, list[Arc]] = {}
         for j in range(n):
