@@ -26,6 +26,7 @@ from .type_algebra import (
     cycle_canonical,
     cycle_type_classes,
     format_type,
+    negate,
     parse_type,
     path_canonical,
     path_type_classes,
@@ -185,6 +186,13 @@ def _span_table(T: Tournament, comp: Component) -> dict[int, int]:
     return _span_tables(T, (comp,))[comp]
 
 
+@lru_cache(maxsize=1 << 12)
+def _negated(comp: Component) -> Component:
+    """The component with every arc reversed, canonical."""
+    kind, tup = comp
+    return (kind, (path_canonical if kind == "P" else cycle_canonical)(negate(tup)))
+
+
 class CopyCounter:
     """Copy counts of patterns in one host, span tables cached.
 
@@ -192,23 +200,43 @@ class CopyCounter:
     ``counts`` builds every table a list of patterns is missing in one open
     and one closed walk first, so components that share a sign prefix share
     their DP steps.
+
+    ``reversal()`` counts in the reversed host without a walk of its own.  A
+    copy of a component in the reversal is, on the same vertex set, a copy of
+    its negation in the host, so its table of a component is this counter's
+    table of the negated one, built in this counter's walks.
     """
 
     def __init__(self, T: Tournament):
         self.T = T
         self._tables: dict[Component, dict[int, int]] = {}
+        self._forward: CopyCounter | None = None  # a reversal's host counter
+
+    def reversal(self) -> "CopyCounter":
+        """A counter of the same class over ``T.complement()`` reading this
+        counter's tables of the negated components."""
+        rev = type(self)(self.T.complement())
+        rev._forward = self
+        return rev
 
     def _table(self, comp: Component) -> dict[int, int]:
         tbl = self._tables.get(comp)
         if tbl is None:
-            tbl = self._tables[comp] = _span_table(self.T, comp)
+            fwd = self._forward
+            tbl = self._tables[comp] = (_span_table(self.T, comp) if fwd is None
+                                        else fwd._table(_negated(comp)))
         return tbl
 
     def counts(self, patterns: list[Digraph2Spec]) -> list[int]:
         """Copy counts of every pattern, in order."""
         missing = dict.fromkeys(c for H in patterns if H.order <= self.T.n
                                 for c in H.core() if c not in self._tables)
-        self._tables.update(_span_tables(self.T, tuple(missing)))
+        host = self
+        if self._forward is not None:  # the host counter builds the negations
+            host = self._forward
+            missing = dict.fromkeys(neg for neg in map(_negated, missing) if neg not in host._tables)
+        if missing:
+            host._tables.update(_span_tables(host.T, tuple(missing)))
         return [self.count(H) for H in patterns]
 
     def count(self, H: Digraph2Spec) -> int:
@@ -217,6 +245,8 @@ class CopyCounter:
             raise TypeTooLongError(f"pattern needs {H.order} vertices, host has {n}")
         tables = [self._table(c) for c in H.core()]
 
+        if len(tables) == 1:  # nothing to place apart, and no repetitions
+            return sum(tables[0].values()) * comb(n - H.order + H.isolated, H.isolated)
         # ordered placements of the core components on disjoint vertex sets,
         # tallied by the union of the masks placed so far; the last component
         # only needs the total
@@ -246,10 +276,14 @@ def count_copies(T: Tournament, H: Digraph2Spec) -> int:
 def check_complement_invariance(T: Tournament, H: Digraph2Spec) -> tuple[int, int]:
     """Copy counts of H in T and in the arc-reversed tournament.
 
-    Reversal maps a copy of a path or cycle to a copy of its negation, which
-    has the same canonical type, so the two counts agree pattern by pattern.
+    Reversal maps a copy of a path or cycle to a copy of its negation on the
+    same vertex set, so the second count is that of -H in T, read through
+    ``CopyCounter.reversal``.  The negation need not have the component's
+    canonical type (P(2,-1) is canonically P(1,-2), its negation P(-1,2)), so
+    the two counts agree by the paper's theorem, not by definition.
     """
-    return count_copies(T, H), count_copies(T.complement(), H)
+    counter = CopyCounter(T)
+    return counter.count(H), counter.reversal().count(H)
 
 
 def _out_star_count(T: Tournament, leaves: int) -> int:

@@ -260,20 +260,20 @@ def _type_and_cycle(key: tuple[SignedTuple, SignedTuple]) -> dict:
 
 
 def _both_ways(scope: Scope) -> Callable:
-    """``both(lanes, count)``: ``count`` of the lanes and of their reversal.
-    On an exhaustive scope the first run of a complement pair keeps the
-    swapped pair, keyed by the reversal's serial, for its partner, which
-    comes next."""
+    """``both(lanes, sides)``: ``sides(lanes, rev)`` of the lanes and their
+    reversal, a pair of counts, one per run.  On an exhaustive scope the
+    first run of a complement pair keeps the swapped pair, keyed by the
+    reversal's serial, for its partner, which comes next."""
     swapped: dict[int, tuple] = {}
 
-    def both(lanes: _Lanes, count: Callable[[_Lanes], object]) -> tuple:
-        sides = swapped.pop(lanes.T.bits, None)
-        if sides is None:
+    def both(lanes: _Lanes, sides: Callable[[_Lanes, _Lanes], tuple]) -> tuple:
+        pair = swapped.pop(lanes.T.bits, None)
+        if pair is None:
             rev = _Lanes(lanes.T.complement(), lanes.count)
-            sides = count(lanes), count(rev)
+            pair = sides(lanes, rev)
             if not scope.is_random:  # a sample's reversal is not in the scope
-                swapped[rev.T.bits] = sides[::-1]
-        return sides
+                swapped[rev.T.bits] = pair[::-1]
+        return pair
 
     return both
 
@@ -373,6 +373,7 @@ def _check_class_sizes(scope: Scope, _):
     alone.  The groups come per type, in ``path_classes`` order."""
     n = scope.order
     types = _cycle_word_classes(n)
+    expected = {beta: delta(beta) * period_info(beta).t for beta in cycle_type_classes(n)}
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         groups: dict[SignedTuple, list[tuple[SignedTuple, int]]] = {}
@@ -381,7 +382,7 @@ def _check_class_sizes(scope: Scope, _):
                 groups.setdefault(alpha, []).append((types[w], len(arcs)))
         for alpha in path_type_classes(n - 1):
             for beta, size in groups.get(alpha, ()):
-                yield (alpha, beta), size, delta(beta) * period_info(beta).t
+                yield (alpha, beta), size, expected[beta]
 
     return _sweep(scope, compare, _type_and_cycle, single=True)
 
@@ -480,7 +481,15 @@ def _check_h_invariance(scope: Scope, _):
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         specs = next(patterns)
-        return zip(specs, *both(lanes, lambda ln: counter(ln.T).counts(specs)))
+
+        def sides(run: _Lanes, _) -> tuple:
+            # the reversal's copies of H are the host's copies of -H; an
+            # exhaustive pattern list is closed under negation, so the host's
+            # one walk builds the tables of both sides
+            forward = counter(run.T)
+            return forward.counts(specs), forward.reversal().counts(specs)
+
+        return zip(specs, *both(lanes, sides))
 
     return _sweep(scope, compare, lambda spec: {"digraph": spec.render()}, single=True)
 
@@ -495,7 +504,7 @@ def _check_complement_bridge(scope: Scope, _):
         # each side is swept on its own, so neither count is derived from the
         # other; both share the lanes' layout
         (words, cycles), (words_rev, cycles_rev) = both(
-            lanes, lambda ln: _length_census(ln, n))
+            lanes, lambda *runs: tuple(_length_census(ln, n) for ln in runs))
         for side in sides:
             yield side[0], _f(words, side, lanes), _f(words_rev, side, lanes)
         if n >= 3:

@@ -29,7 +29,8 @@ from tourcensus import (
     star_counterexample,
     transitive,
 )
-from tourcensus.digraphs import _span_table, _span_tables
+import tourcensus.digraphs as digraphs_mod
+from tourcensus.digraphs import _canonical_component, _negated, _span_table, _span_tables
 
 TT3 = Tournament.parse("3:111")
 TT4 = transitive(4)
@@ -270,6 +271,72 @@ def test_complement_invariance_holds(T):
             a, b = check_complement_invariance(T, spec)
             assert a == b
 
+
+
+# --- the reversal counts -H on the host -----------------------------------------
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_reversal_counts_match_a_counter_on_the_complement(n):
+    specs = all_digraph_specs(min(n, 6))
+    for T in random_tournaments(n, 40 + n, 2):
+        expected = CopyCounter(T.complement()).counts(specs)
+        assert CopyCounter(T).reversal().counts(specs) == expected, T.serialize()
+        forward = CopyCounter(T)
+        forward.counts(specs)  # the reversal then reads tables built already
+        assert forward.reversal().counts(specs) == expected, T.serialize()
+
+
+def test_reversal_count_matches_a_counter_on_the_complement():
+    (T,) = random_tournaments(8, 9, 1)
+    counter = CopyCounter(T)
+    reversal = counter.reversal()
+    for seed in range(20):
+        H = random_digraph_spec(8, seed)
+        expected = CopyCounter(T.complement()).count(H)
+        assert reversal.count(H) == expected, H.render()
+        assert CopyCounter(T).reversal().count(H) == expected, H.render()
+
+
+def test_reversal_is_a_counter_of_the_same_class_on_the_complement():
+    class Sub(CopyCounter):
+        pass
+    (T,) = random_tournaments(6, 3, 1)
+    reversal = Sub(T).reversal()
+    assert type(reversal) is Sub and reversal.T == T.complement()
+
+
+def test_reversal_builds_no_tables_of_its_own(monkeypatch):
+    (T,) = random_tournaments(7, 5, 1)
+    specs = all_digraph_specs(6)
+    H = Digraph2Spec.parse("C(1,-1,1,-4)")  # order 7: a table the host lacks
+    expected = count_copies(T.complement(), H)
+    hosts = []
+    real = digraphs_mod._span_tables
+
+    def counting(host, comps):
+        hosts.append(host)
+        return real(host, comps)
+    monkeypatch.setattr(digraphs_mod, "_span_tables", counting)
+    counter = CopyCounter(T)
+    counter.counts(specs)
+    counter.reversal().counts(specs)  # every negation was in the host's walk
+    assert hosts == [T]
+    assert counter.reversal().count(H) == expected
+    assert hosts == [T, T]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_negated_components_are_canonical_and_their_tables_are_the_complements(n):
+    comps = tuple(dict.fromkeys(c for H in all_digraph_specs(7) for c in H.core()))
+    negated = tuple(_negated(c) for c in comps)
+    for c, neg in zip(comps, negated):
+        assert _canonical_component(*neg) == neg, c
+        assert _negated(neg) == c, c
+    (T,) = random_tournaments(n, 60 + n, 1)
+    on_host = _span_tables(T, tuple(dict.fromkeys(negated)))
+    on_complement = _span_tables(T.complement(), comps)
+    for c, neg in zip(comps, negated):
+        assert on_host[neg] == on_complement[c], c
 
 # --- inventories and sampling ---------------------------------------------------
 

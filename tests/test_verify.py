@@ -619,6 +619,23 @@ def test_h_invariance_counts_the_first_run_of_each_pair(monkeypatch):
     assert calls == expected
 
 
+def test_h_invariance_builds_tables_once_per_complement_pair(monkeypatch):
+    digraphs_mod = import_module("tourcensus.digraphs")
+    hosts = []
+    real = digraphs_mod._span_tables
+
+    def counting(T, comps):
+        hosts.append(T.bits)
+        return real(T, comps)
+    monkeypatch.setattr(digraphs_mod, "_span_tables", counting)
+    scope = Scope(mode="exhaustive", order=5)
+    assert verify("h-invariance", scope).passed
+    # one batched walk on each tournament of a first run, the reversal's
+    # tables read from it
+    firsts = list(verify_mod._runs(scope))[::2]
+    assert hosts == [run.tournament(i).bits for _, run in firsts for i in range(run.count)]
+    assert len(hosts) == 512
+
 def test_complement_bridge_walks_each_run_once(monkeypatch):
     calls = []
     real = verify_mod._length_census
