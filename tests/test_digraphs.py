@@ -31,6 +31,7 @@ from tourcensus import (
 )
 import tourcensus.digraphs as digraphs_mod
 from tourcensus.digraphs import _canonical_component, _negated, _span_table, _span_tables
+from tourcensus.type_algebra import _cycle_word_classes, _path_word_classes, arc_sum, word_int
 
 TT3 = Tournament.parse("3:111")
 TT4 = transitive(4)
@@ -332,6 +333,13 @@ def test_negated_components_are_canonical_and_their_tables_are_the_complements(n
     for c, neg in zip(comps, negated):
         assert _canonical_component(*neg) == neg, c
         assert _negated(neg) == c, c
+        # a walk on the reversal with c's word is the walk on the host with
+        # the complemented word, whose class is the negation's; the tables
+        # below agree mask by mask for c itself too, by the theorem
+        m = arc_sum(c[1])
+        flipped = word_int(c[1]) ^ ((1 << m) - 1)
+        classes = _path_word_classes(m + 1) if c[0] == "P" else _cycle_word_classes(m)
+        assert classes[flipped] == neg[1], c
     (T,) = random_tournaments(n, 60 + n, 1)
     on_host = _span_tables(T, tuple(dict.fromkeys(negated)))
     on_complement = _span_tables(T.complement(), comps)
