@@ -48,7 +48,7 @@ from tourcensus.census import (
     CensusReport, ClassPartition, PathClass, _Lanes, _advance, _class_halves, _cut, _cycle_cuts,
     _halved, _hamiltonian_cycles, _lane_ones,
     _length_census, _oracle_cycle_counts, _oracle_path_counts, _orbit_sums, _per_cycle, _spanning_path_counts,
-    _split_lanes, _every_word_walk, _word_set_walk,
+    _spanning_readings, _split_lanes, _every_word_walk, _word_set_walk,
 )
 from tourcensus.errors import DivisibilityViolationError, ParityViolationError
 from tourcensus.type_algebra import (
@@ -392,6 +392,30 @@ def test_per_cycle_refuses_a_tally_its_readings_do_not_divide():
     assert _per_cycle(6, (3,)) == 2  # a 3-circuit is read from each of its 3 starts
     with pytest.raises(DivisibilityViolationError, match="4 closed readings of"):
         _per_cycle(4, (3,))
+
+
+def closed_readings(T, w):
+    """Closed readings of the spanning word ``w`` from the trie walk, every start."""
+    word = (T.n, w)
+    return sum(_word_set_walk(T, range(T.n), (word,), closed=True).get(word, {}).values())
+
+
+def test_spanning_readings_match_the_closed_trie_walk():
+    # called directly, so it is checked below the order count_cycles routes from
+    hosts = [T for n in range(3, 6) for T in all_tournaments(n)]
+    hosts += [T for n, k in ((6, 3), (7, 2), (8, 2), (9, 1)) for T in random_tournaments(n, 30 + n, k)]
+    for T in hosts:
+        for beta in standard_tuples(T.n, "cycle"):
+            w = word_int(beta)
+            assert _spanning_readings(T, w) == closed_readings(T, w), (T.serialize(), beta)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_count_cycles_of_spanning_classes_matches_oracle(n):
+    for T in random_tournaments(n, 20 + n, 2):
+        expected = oracle_census(T).cycle_counts
+        assert {beta: count_cycles(T, beta) for beta in cycle_type_classes(n)} == expected, (
+            T.serialize())
 
 
 def test_halved_names_the_odd_lane():

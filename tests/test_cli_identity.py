@@ -68,7 +68,7 @@ def test_fixed_calls_reach_the_parser_errors():
          "--samples", "0"),
     ]
     assert calls[-1 - len(expected):-1] == expected  # just before the public names
-    assert len(calls) == len(PROPERTY_IDS) * 15 + 2 + 2 + 18 + 5 + len(expected) + 1
+    assert len(calls) == len(PROPERTY_IDS) * 15 + 2 + 2 + 19 + 5 + len(expected) + 1
 
 
 def test_fixed_calls_reach_random_censuses_at_small_orders_and_order_9():

@@ -22,6 +22,7 @@ from tourcensus import (
     cycle_type_classes,
     count_cycles,
     count_paths,
+    oracle_census,
     path_canonical,
     path_type_classes,
     random_digraph_spec,
@@ -30,6 +31,7 @@ from tourcensus import (
     transitive,
 )
 import tourcensus.digraphs as digraphs_mod
+from tourcensus.census import _per_cycle, _word_set_walk
 from tourcensus.digraphs import _canonical_component, _negated, _span_table, _span_tables
 from tourcensus.type_algebra import _cycle_word_classes, _path_word_classes, arc_sum, word_int
 
@@ -206,6 +208,46 @@ def test_batched_span_tables_prefix_words_and_spanning_cycle():
     for comp in comps:
         assert tables[comp] == reference_span_table(T, comp), comp
     assert set(tables[comps[-1]]) <= {(1 << 7) - 1}
+
+
+def trie_span_table(T, comp):
+    """The span table of a cycle component from the closed trie walk alone."""
+    word = (arc_sum(comp[1]), word_int(comp[1]))
+    tally = _word_set_walk(T, range(T.n), (word,), closed=True).get(word, {})
+    return {mask: _per_cycle(r, comp[1]) for mask, r in tally.items()}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_spanning_cycle_tables_meet_in_the_middle_as_the_trie_walk_reads_them(n):
+    for T in random_tournaments(n, 110 + n, 2):
+        reversed_counts = oracle_census(T.complement()).cycle_counts
+        for tup in cycle_type_classes(n):
+            comp = ("C", tup)
+            assert _span_table(T, comp) == trie_span_table(T, comp), (T.serialize(), tup)
+            H = Digraph2Spec((comp,))
+            assert CopyCounter(T).reversal().count(H) == reversed_counts[tup], (T.serialize(), tup)
+
+
+def test_spanning_cycle_table_of_a_host_without_one_is_empty():
+    T = transitive(8)
+    assert _span_table(T, ("C", (8,))) == {}
+    assert count_copies(T, Digraph2Spec.parse("C(8)")) == 0
+
+
+@pytest.mark.parametrize("n, meets", [(6, False), (7, True)])
+def test_spanning_cycles_meet_in_the_middle_from_order_7(monkeypatch, n, meets):
+    seen = []
+    real = digraphs_mod._spanning_readings
+
+    def counting(T, w):
+        seen.append(w)
+        return real(T, w)
+    monkeypatch.setattr(digraphs_mod, "_spanning_readings", counting)
+    specs = all_digraph_specs(6) + [Digraph2Spec((("C", t),)) for t in cycle_type_classes(n)]
+    (T,) = random_tournaments(n, 9, 1)
+    CopyCounter(T).counts(specs)
+    # once per spanning component at order 7, never at order 6
+    assert sorted(seen) == sorted(word_int(t) for t in cycle_type_classes(n) if meets)
 
 
 def test_counts_match_count_per_pattern():

@@ -112,6 +112,8 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
         (*CLI, "hcount", "--tournament", HOST5, "--digraph", "P(1,1)"),
         (*CLI, "hcount", "--tournament", HOST7, "--digraph", "P(2,-1);C(1,-2)",
          "--complement-check"),
+        (*CLI, "hcount", "--tournament", HOST7, "--digraph", "C(1,-1,2,-3)",
+         "--complement-check"),  # a spanning cycle, met in the middle
         *HELP,
         *PARSER_ERRORS,
         PUBLIC_NAMES,
