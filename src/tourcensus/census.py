@@ -3,13 +3,11 @@
 Two engines live here.  A subset DP counts the vertex sequences whose arc
 signs spell a word, in two walks over one step, ``_advance``: a word set as
 one trie, words sharing a prefix sharing its steps (``_word_set_walk``), or
-every word of one length breadth first, one count lane per sign prefix
+every closed word of one length breadth first, one count lane per sign prefix
 (``_every_word_walk``).  Paths halve the tally of symmetric types; cycles
 close back to the start and divide by delta * t, the readings per cycle.
-One spanning closed word meets in the middle from order 7 on
-(``_spanning_readings``): from each start a forward and a backward half of
-``_advance`` steps, joined through one packed count per vertex set, since
-the layers of a walk are full only in the middle.
+``_word_tallies`` walks a word set from every start, and from order 7 on a
+spanning closed word there meets in the middle (``_spanning_readings``).
 
 The census of m-vertex paths and m-arc cycles (``_length_census``), where
 every sweep reads a run's word tallies, reads each cycle from its lowest
@@ -317,12 +315,9 @@ def _spanning_readings(T: Tournament, w: int) -> int:
     each state (A, v) reads the set (V - A) + s, keeps the lanes arc k allows
     from v and sums them.  The layers of a walk are sparse early and full only
     in the middle, so two early halves do less work than one walk through the
-    middle, and hold less at once.
-
-    ``count_cycles`` and ``_span_tables`` call it for a spanning word from
-    order 7 on (``_SPANNING_MEET_ORDER``) and walk the trie below that, where
-    it is no faster.  Per word in ms, every start, in process on 2 cores (six
-    spanning types of one random host per order, best of three rounds):
+    middle, and hold less at once.  Per word in ms, every start, in process
+    on 2 cores (six spanning types of one random host per order, best of three
+    rounds):
 
         order    5      6      7      8     9     10   11    12   13
         trie     0.024  0.057  0.146  0.50  1.4   4.2  13.5  40   121
@@ -359,26 +354,23 @@ def _spanning_readings(T: Tournament, w: int) -> int:
     return total
 
 
-def _every_word_walk(T: Tournament, starts: Iterable[int] | _Lanes, length: int,
-                     closed: bool = False) -> dict[int, int]:
-    """The walk of ``_word_set_walk`` over every word of ``length`` arcs,
-    breadth first: word lane p of a count, the lane width times the run's
-    lane count bits wide, holds the sequences whose signs so far spell p, so
-    a depth is one backward step and one forward step whose lanes are shifted
-    above the backward ones; a closing test masks every word lane alike, its
-    bit on top.  A closed walk steps only to vertices above its start, so each
+def _every_word_walk(T: Tournament, starts: Iterable[int] | _Lanes, length: int) -> dict[int, int]:
+    """The closed walk of ``_word_set_walk`` over every word of ``length``
+    arcs, breadth first: word lane p of a count, the lane width times the
+    run's lane count bits wide, holds the sequences whose signs so far spell
+    p, so a depth is one backward step and one forward step whose lanes are
+    shifted above the backward ones; the closing test masks every word lane
+    alike, its bit on top.  It steps only to vertices above its start, so each
     cycle is read from its lowest vertex.  Returns the tally per packed word,
-    summed over starts; zero tallies are left out.
-    """
+    summed over starts; zero tallies are left out."""
     out_masks, in_masks = T.out_masks, T.in_masks
     stride = factorial(T.n).bit_length() * (starts.count if isinstance(starts, _Lanes) else 1)
-    steps = length - 1 if closed else length  # a closed word's last arc is its closing test
+    steps = length - 1  # the last arc is the closing test
     rep = _lane_ones(stride, 1 << steps)  # a 1 in every word lane
-    total = 0  # word lane w holds word w's tally, summed over starts and ends
-    states = {} if closed else {(1 << v + 4) + v: 1 for v in starts}
-    for s, seed, close in _firsts(T, starts) if closed else [(0, None, None)]:
+    total, states = 0, {}  # word lane w holds word w's tally, summed over starts
+    for s, seed, close in _firsts(T, starts):
         for d in range(steps):
-            if d or seed is None:
+            if d:
                 back, fwd = _advance(states, in_masks), _advance(states, out_masks)
             else:  # the first step, never to the vertices below s: they are marked used
                 back, fwd = ({((2 << s) - 1 << 4) + step: c for step, c in seed[bit]
@@ -386,14 +378,25 @@ def _every_word_walk(T: Tournament, starts: Iterable[int] | _Lanes, length: int,
             for key, c in fwd.items():  # the forward lanes go above the backward ones
                 back[key] = back.get(key, 0) + (c << (stride << d))
             states = back
-        for key, c in states.items():
-            if close:  # the closing test, alike in every word lane; its bit tops the word
-                last = key & 15
-                c = (c & close[0][last] * rep) + ((c & close[1][last] * rep) << (stride << steps))
-            total += c
+        for key, c in states.items():  # the closing test, alike in every word lane
+            last = key & 15
+            total += (c & close[0][last] * rep) + ((c & close[1][last] * rep) << (stride << steps))
     if not total:  # no start, as for the starts above 0 of a spanning census
         return {}
     return {w: t for w, t in enumerate(_split_lanes(total, stride, 1 << length)) if t}
+
+
+def _word_tallies(T: Tournament, words: tuple[tuple[int, int], ...], closed: bool = False) -> dict:
+    """``_word_set_walk`` of ``words`` from every start, but a closed word of
+    n arcs meets in the middle (``_spanning_readings``) from order 7 on, below
+    which that is no faster: its tally is the walk's, on the full set."""
+    n = T.n
+    met = [wd for wd in words if closed and wd[0] == n >= _SPANNING_MEET_ORDER]
+    tallies = _word_set_walk(T, range(n), tuple(wd for wd in words if wd not in met), closed)
+    for wd in met:
+        if readings := _spanning_readings(T, wd[1]):  # none is left out, as in the walk
+            tallies[wd] = {(1 << n) - 1: readings}
+    return tallies
 
 
 def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
@@ -403,7 +406,7 @@ def count_enumerations(T: Tournament, alpha: Iterable[int]) -> int:
     if arc_sum(a) + 1 > T.n:
         raise TypeTooLongError(f"type {a} needs {arc_sum(a) + 1} vertices, host has {T.n}")
     word = (arc_sum(a), word_int(a))
-    return sum(_word_set_walk(T, range(T.n), (word,)).get(word, {}).values())
+    return sum(_word_tallies(T, (word,)).get(word, {}).values())
 
 
 def enumeration_word_counts(T: Tournament, m: int) -> dict[int, int]:
@@ -454,8 +457,7 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
     Every cycle of the type yields delta * t closed readings of the canonical
     sign word (t rotations per readable direction, both directions for a
     symmetric type, all starts for a circuit), so the reading tally divides
-    exactly.  A spanning type from order 7 on meets in the middle
-    (``_spanning_readings``); every other type walks the trie.
+    exactly; ``_word_tallies`` picks the walk.
     """
     b = check_standard_cycle(beta)
     m = arc_sum(b)
@@ -465,9 +467,7 @@ def count_cycles(T: Tournament, beta: Iterable[int]) -> int:
         return 0  # tournaments are loopless and have no 2-cycles
     canon = cycle_canonical(b)
     word = (m, word_int(canon))
-    if m == T.n >= _SPANNING_MEET_ORDER:
-        return _per_cycle(_spanning_readings(T, word[1]), canon)
-    readings = sum(_word_set_walk(T, range(T.n), (word,), closed=True).get(word, {}).values())
+    readings = sum(_word_tallies(T, (word,), closed=True).get(word, {}).values())
     return _per_cycle(readings, canon)
 
 
@@ -524,8 +524,8 @@ def _length_census(lanes: _Lanes, m: int) -> tuple[dict[int, int], dict[SignedTu
     T, n, ones = lanes.T, lanes.T.n, lanes.ones
     if m == 2:
         return dict.fromkeys((0, 1), n * (n - 1) // 2 * ones), {}
-    closed = _every_word_walk(T, lanes, m, closed=True)
-    for w, c in _every_word_walk(T, range(1, n - m + 1), m, closed=True).items():
+    closed = _every_word_walk(T, lanes, m)
+    for w, c in _every_word_walk(T, range(1, n - m + 1), m).items():
         closed[w] = closed.get(w, 0) + c * ones
     sums = _orbit_sums(closed, m)  # a rotation orbit's words are one cycle type's
     return _cut(sums, m), _class_halves(sums, _cycle_word_classes(m), cycle_type_classes(m), lanes)
@@ -539,7 +539,7 @@ def _spanning_path_counts(lanes: _Lanes, paths: Sequence[int]) -> dict[int, int]
     words themselves instead, which expands about a third of the states."""
     T, n = lanes.T, lanes.T.n
     if lanes.count == 1:
-        opened = _word_set_walk(T, range(n), tuple((n - 1, p) for p in paths))
+        opened = _word_tallies(T, tuple((n - 1, p) for p in paths))
         return {p: sum(opened.get((n - 1, p), {}).values()) for p in paths}
     full = (1 << n) - 1
     rotations = {(w << j | w >> (n - j)) & full

@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
 
-from .census import _SPANNING_MEET_ORDER, _per_cycle, _per_path, _spanning_readings, _word_set_walk
+from .census import _per_cycle, _per_path, _word_tallies
 from .errors import DivisibilityViolationError, IllFormedError, ParseError, TypeTooLongError
 from .tournaments import Tournament, pair_index, seed_stream
 from .type_algebra import (
@@ -159,23 +159,16 @@ def _span_tables(T: Tournament, comps: tuple[Component, ...]) -> dict[Component,
     using exactly that vertex set.  All paths share one open walk from every
     start and all cycles one closed walk, each start alone; both are summed
     per used mask, then paths halve symmetric types and cycles divide by
-    delta * t, as count_paths/count_cycles do.  From order 7 on, a spanning
-    cycle meets in the middle instead (``census._spanning_readings``), with
-    its one vertex set, or none when it has no copy, as in the walk.
+    delta * t, as count_paths/count_cycles do.  ``census._word_tallies``
+    picks the walk, so a spanning cycle meets in the middle from order 7 on.
     """
-    n = T.n
     tables: dict[Component, dict[int, int]] = {}
-    if n >= _SPANNING_MEET_ORDER:
-        for comp in comps:
-            if comp[0] == "C" and arc_sum(comp[1]) == n:
-                readings = _spanning_readings(T, word_int(comp[1]))
-                tables[comp] = {(1 << n) - 1: _per_cycle(readings, comp[1])} if readings else {}
     for kind, per_copy in (("P", _per_path), ("C", _per_cycle)):
-        group = tuple(c for c in comps if c[0] == kind and c not in tables)
+        group = tuple(c for c in comps if c[0] == kind)
         if not group:
             continue
         words = _component_words(group)
-        readings = _word_set_walk(T, range(n), words, closed=kind == "C")
+        readings = _word_tallies(T, words, closed=kind == "C")
         for comp, word in zip(group, words):
             tally = readings.get(word, {})
             per = {r: per_copy(r, comp[1]) for r in set(tally.values())}
@@ -185,7 +178,7 @@ def _span_tables(T: Tournament, comps: tuple[Component, ...]) -> dict[Component,
 
 @lru_cache(maxsize=64)
 def _component_words(comps: tuple[Component, ...]) -> tuple[tuple[int, int], ...]:
-    """(arc count, packed signs) of each component, the words of _word_set_walk."""
+    """(arc count, packed signs) of each component, the words of _word_tallies."""
     return tuple((arc_sum(tup), word_int(tup)) for _, tup in comps)
 
 

@@ -455,20 +455,10 @@ def _check_t_one(scope: Scope, _):
                   statements=((key, period_info(key[1]).t, 1) for key in firsts))
 
 
-def __getattr__(name: str):
-    # ``CopyCounter`` stays an attribute of this module, while ``digraphs``
-    # loads with the first ``h-invariance`` sweep, the one sweep that counts copies
-    if name == "CopyCounter":
-        from .digraphs import CopyCounter
-        return CopyCounter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _check_h_invariance(scope: Scope, _):
     """Copy counts of every bounded-degree pattern agree in T and reversed T."""
-    from .digraphs import all_digraph_specs, random_digraph_spec
+    from .digraphs import CopyCounter, all_digraph_specs, random_digraph_spec
 
-    counter = globals().get("CopyCounter") or __getattr__("CopyCounter")  # an assigned one first
     n = scope.order
     if scope.is_random:  # one pattern per sample, from its own stream
         stream = seed_stream(scope.seed ^ _SPEC_STREAM_SALT)
@@ -486,7 +476,7 @@ def _check_h_invariance(scope: Scope, _):
             # the reversal's copies of H are the host's copies of -H; an
             # exhaustive pattern list is closed under negation, so the host's
             # one walk builds the tables of both sides
-            forward = counter(run.T)
+            forward = CopyCounter(run.T)
             return forward.counts(specs), forward.reversal().counts(specs)
 
         return zip(specs, *both(lanes, sides))

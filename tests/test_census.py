@@ -48,7 +48,7 @@ from tourcensus.census import (
     CensusReport, ClassPartition, PathClass, _Lanes, _advance, _class_halves, _cut, _cycle_cuts,
     _halved, _hamiltonian_cycles, _lane_ones,
     _length_census, _oracle_cycle_counts, _oracle_path_counts, _orbit_sums, _per_cycle, _spanning_path_counts,
-    _spanning_readings, _split_lanes, _every_word_walk, _word_set_walk,
+    _spanning_readings, _split_lanes, _every_word_walk, _word_set_walk, _word_tallies,
 )
 from tourcensus.errors import DivisibilityViolationError, ParityViolationError
 from tourcensus.type_algebra import (
@@ -180,6 +180,13 @@ def test_enumeration_word_counts_matches_count_enumerations():
         assert words.get(word_int(alpha), 0) == count_enumerations(T4, alpha)
 
 
+def open_word_tallies(T, length):
+    """Per packed word of ``length`` arcs, its vertex sequences from the open
+    word-set walk over every such word from every start, summed over masks."""
+    every = _word_set_walk(T, range(T.n), tuple((length, w) for w in range(1 << length)))
+    return {w: sum(t.values()) for (_, w), t in every.items()}
+
+
 def test_spanning_word_counts_cut_matches_open_walk():
     # path words of every length come from cutting closed readings; the open
     # walk from every start is the reference they must reproduce exactly
@@ -190,7 +197,7 @@ def test_spanning_word_counts_cut_matches_open_walk():
         n = T.n
         for m in range(2, n + 1):
             words = enumeration_word_counts(T, m)
-            assert words == _every_word_walk(T, range(n), m - 1), (T.serialize(), m)
+            assert words == open_word_tallies(T, m - 1), (T.serialize(), m)
             assert sum(words.values()) == factorial(n) // factorial(n - m), (T.serialize(), m)
 
 
@@ -219,8 +226,8 @@ def test_orbit_cut_matches_the_cut_at_every_arc():
             lanes = _Lanes(T, 8)
             closed = _word_set_walk(T, lanes, tuple((n, w) for w in sorted(rotations)),
                                     closed=True)
-            for tallies in (_every_word_walk(T, _Lanes(T), n, closed=True),
-                            _every_word_walk(T, lanes, n, closed=True),
+            for tallies in (_every_word_walk(T, _Lanes(T), n),
+                            _every_word_walk(T, lanes, n),
                             {w: sum(t.values()) for (_, w), t in closed.items()}):
                 assert tallies
                 assert _cut(_orbit_sums(tallies, n), n) == cut_at_every_arc(tallies, n), \
@@ -283,37 +290,33 @@ def test_word_set_walk_matches_brute_force():
 
 
 def test_every_word_walk_matches_brute_force():
-    # the packed walk over every word of one length, one word lane per sign
-    # prefix, against the brute tallies of the listed words of that length
-    def totals(tallies, keep=lambda mask: True):
+    # the packed closed walk over every word of one length, one word lane per
+    # sign prefix, against the brute tallies of the listed words of that length
+    def totals(tallies, keep):
         out = {w: sum(c for mask, c in t.items() if keep(mask)) for (_, w), t in tallies.items()}
         return {w: c for w, c in out.items() if c}
 
     for T in [*random_tournaments(5, 61, 2), *random_tournaments(6, 62, 1),
               *random_tournaments(7, 63, 1)]:
         n = T.n
-        for m in range(n):
-            every = [(m, w) for w in range(1 << m)]
-            expect = totals(brute_word_tallies(T, every, False))
-            assert _every_word_walk(T, range(n), m) == expect, (T.serialize(), m)
-        assert _every_word_walk(T, range(n), 1, closed=True) == {}  # no loops
+        assert _every_word_walk(T, range(n), 1) == {}  # no loops
         for m in range(2, n + 1):
             every = [(m, w) for w in range(1 << m)]
             for s in range(n - m + 1):
                 # the walk from s never visits the vertices below it
                 brute = brute_word_tallies(T, every, True, starts=(s,))
                 expect = totals(brute, lambda mask: not mask & (1 << s) - 1)
-                assert _every_word_walk(T, (s,), m, closed=True) == expect, (T.serialize(), m, s)
+                assert _every_word_walk(T, (s,), m) == expect, (T.serialize(), m, s)
 
 
 def test_every_word_lane_run_matches_its_members():
     # 64 tournament lanes nested in each of the 2^(m-1) word lanes
     lanes = _Lanes(Tournament(7, 21_845 << 6), 64)
     for m in range(3, 8):
-        packed = _every_word_walk(lanes.T, lanes, m, closed=True)
+        packed = _every_word_walk(lanes.T, lanes, m)
         for x, T in enumerate(_members(lanes)):
             lane = {w: v for w, c in packed.items() if (v := lanes.unpack(c)[x])}
-            assert lane == _every_word_walk(T, (0,), m, closed=True), (T.serialize(), m)
+            assert lane == _every_word_walk(T, (0,), m), (T.serialize(), m)
 
 
 def test_word_set_lane_run_matches_its_members():
@@ -334,8 +337,6 @@ def test_open_walks_refuse_a_run():
     lanes = _Lanes(T4, 8)
     with pytest.raises(TypeError):
         _word_set_walk(T4, lanes, ((3, 0b101),))
-    with pytest.raises(TypeError):
-        _every_word_walk(T4, lanes, 3)
 
 
 def test_enumeration_word_counts_guard():
@@ -418,6 +419,19 @@ def test_count_cycles_of_spanning_classes_matches_oracle(n):
             T.serialize())
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_word_tallies_match_the_every_start_trie_walk(n):
+    # closed spanning words meet in the middle here, the shorter ones walk the
+    # trie, and both must read as the trie walk over the whole set, mask for mask
+    spanning = [(n, word_int(t)) for t in cycle_type_classes(n)]
+    words = tuple(spanning + [(m, word_int(t)) for m in (3, 5, n - 1) for t in cycle_type_classes(m)])
+    for T in [*random_tournaments(n, 70 + n, 2), transitive(n)]:
+        tallies = _word_tallies(T, words, closed=True)
+        assert tallies == _word_set_walk(T, range(n), words, closed=True), T.serialize()
+        assert any(word in tallies for word in spanning), T.serialize()
+    assert (n, (1 << n) - 1) in spanning and (n, (1 << n) - 1) not in tallies  # no circuit
+
+
 def test_halved_names_the_odd_lane():
     lanes = _Lanes(C3, 4)
     packed = sum(c << lanes.width * i for i, c in enumerate((2, 4, 7, 6)))
@@ -461,7 +475,7 @@ def test_closed_walk_over_every_word_reads_each_cycle_from_its_lowest_vertex():
                 every = [(m, w) for w in range(1 << m)]
                 for s in range(n - m + 1):
                     listed = _word_set_walk(T.induced(range(s, n)), (0,), every, closed=True)
-                    assert (_every_word_walk(T, (s,), m, closed=True)
+                    assert (_every_word_walk(T, (s,), m)
                             == {w: sum(t.values()) for (_, w), t in listed.items()}), (
                                 T.serialize(), m, s)
 
@@ -561,7 +575,7 @@ def test_lane_walk_matches_single_tournaments():
         for x, T in enumerate(members):  # words and cycles are the spanning census here
             assert lanes.tournament(x) == T
             lane_words, lane_cycles = _lane(lanes, words, cycles, x)
-            assert lane_words == _every_word_walk(T, range(n), n - 1), T.serialize()
+            assert lane_words == open_word_tallies(T, n - 1), T.serialize()
             if n <= 5:
                 expect = oracle_census(T).cycle_counts
             else:

@@ -1,6 +1,7 @@
 """Unit tests for pattern digraph copy counting."""
 
 import hashlib
+import sys
 from itertools import combinations
 
 import pytest
@@ -236,18 +237,26 @@ def test_spanning_cycle_table_of_a_host_without_one_is_empty():
 
 @pytest.mark.parametrize("n, meets", [(6, False), (7, True)])
 def test_spanning_cycles_meet_in_the_middle_from_order_7(monkeypatch, n, meets):
+    # the rule lives in census._word_tallies; ``import tourcensus.census`` would
+    # give the function of that name, so the module comes from sys.modules
+    census_mod = sys.modules["tourcensus.census"]
     seen = []
-    real = digraphs_mod._spanning_readings
+    real = census_mod._spanning_readings
 
     def counting(T, w):
         seen.append(w)
         return real(T, w)
-    monkeypatch.setattr(digraphs_mod, "_spanning_readings", counting)
+    monkeypatch.setattr(census_mod, "_spanning_readings", counting)
     specs = all_digraph_specs(6) + [Digraph2Spec((("C", t),)) for t in cycle_type_classes(n)]
     (T,) = random_tournaments(n, 9, 1)
+    expect = sorted(word_int(t) for t in cycle_type_classes(n) if meets)
     CopyCounter(T).counts(specs)
     # once per spanning component at order 7, never at order 6
-    assert sorted(seen) == sorted(word_int(t) for t in cycle_type_classes(n) if meets)
+    assert sorted(seen) == expect
+    seen.clear()
+    for t in cycle_type_classes(n):
+        count_cycles(T, t)
+    assert sorted(seen) == expect  # and once per spanning class from count_cycles
 
 
 def test_counts_match_count_per_pattern():

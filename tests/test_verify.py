@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+import tourcensus.digraphs as digraphs_mod
 import tourcensus.verifier as verify_mod
 from tourcensus import (
     PROPERTY_IDS,
@@ -489,7 +490,7 @@ def _h_invariance_fault(monkeypatch, scope, faulty):
             if self.T.bits in faulty:
                 out[-1] += 1
             return out
-    monkeypatch.setattr(verify_mod, "CopyCounter", FaultyCounter)
+    monkeypatch.setattr(digraphs_mod, "CopyCounter", FaultyCounter)
 
     def records_of(index, T):
         # the forward count of sample k is call 2k, the reversed one call 2k+1
@@ -592,7 +593,7 @@ def _count_counts_calls(monkeypatch):
         def counts(self, patterns):
             calls.append(self.T.bits)
             return super().counts(patterns)
-    monkeypatch.setattr(verify_mod, "CopyCounter", CountingCounter)
+    monkeypatch.setattr(digraphs_mod, "CopyCounter", CountingCounter)
     return calls
 
 
@@ -620,7 +621,6 @@ def test_h_invariance_counts_the_first_run_of_each_pair(monkeypatch):
 
 
 def test_h_invariance_builds_tables_once_per_complement_pair(monkeypatch):
-    digraphs_mod = import_module("tourcensus.digraphs")
     hosts = []
     real = digraphs_mod._span_tables
 
