@@ -148,15 +148,26 @@ def classify_cycle(T: Tournament, seq: Sequence[int]) -> SignedTuple:
 # v adds (1 << (v + 4)) + v to the key with the last vertex cleared.
 
 
-def _step_table(low: int) -> tuple[tuple[int, ...], ...]:
-    """Key offsets of the vertices low..low+7 set in each candidate byte."""
-    table: list[tuple[int, ...]] = [()]
-    for v in range(low, low + 8):  # the bytes with bit v - low as their top bit
-        table += [steps + ((1 << (v + 4)) + v,) for steps in table]
-    return tuple(table)
+def _step_tables(step) -> tuple:
+    """Per candidate byte, ``step(v)`` of each vertex v set in it: one table
+    for the vertices 0..7 of the low byte, one for 8..15 of the high byte."""
+    tables = []
+    for low in (0, 8):
+        table: list[tuple] = [()]
+        for v in range(low, low + 8):  # the bytes with bit v - low as their top bit
+            table += [steps + (step(v),) for steps in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-_LOW_STEPS, _HIGH_STEPS = _step_table(0), _step_table(8)
+_LOW_STEPS, _HIGH_STEPS = _step_tables(lambda v: (1 << (v + 4)) + v)  # state key offsets
+
+
+@lru_cache(maxsize=16)
+def _fold_steps(width: int) -> tuple:
+    """The (vertex bit, lane shift) pairs of ``_step_tables``, lanes ``width``
+    bits wide: the fold of ``_spanning_readings``."""
+    return _step_tables(lambda v: (1 << v, width * v))
 
 
 def _advance(states: dict[int, int], masks: Sequence[int]) -> dict[int, int]:
@@ -309,49 +320,53 @@ def _spanning_readings(T: Tournament, w: int) -> int:
     backward half steps arcs n-1..k+2 back, k = (n-1) // 2, the mask tables
     swapped: going back along a forward arc enters from an in-neighbour.  Its
     last step, over arc k+1, builds no layer: it adds each count into the
-    count of its vertex set at the lane of its end.  A lane holds at most
-    (b-1)! sequences, b = n-1-k, and is wide enough for n of them, so one
-    multiply sums a set's lanes.  Then a forward half steps arcs 0..k-1, and
-    each state (A, v) reads the set (V - A) + s, keeps the lanes arc k allows
-    from v and sums them.  The layers of a walk are sparse early and full only
-    in the middle, so two early halves do less work than one walk through the
-    middle, and hold less at once.  Per word in ms, every start, in process
-    on 2 cores (six spanning types of one random host per order, best of three
-    rounds):
+    count of its vertex set at the lane of its end, each candidate byte's
+    ends read from a table (``_fold_steps``).  Then a forward half steps
+    arcs 0..k-1, and each state (A, v) reads the set (V - A) + s, keeps the
+    lanes arc k allows from v and adds them, times its count, into one packed
+    total per call.  A lane of that total sums readings over every start, at
+    most n! of them, so every lane is ``n!.bit_length()`` bits wide, and one
+    ``_split_lanes`` at the end sums the lanes.  The layers of a walk are
+    sparse early and full only in the middle, so two early halves do less
+    work than one walk through the middle, and hold less at once.  Per word
+    in ms, every start, in process on 2 cores (six spanning types of one
+    random host per order, best of three rounds):
 
         order    5      6      7      8     9     10   11    12   13
-        trie     0.024  0.057  0.146  0.50  1.4   4.2  13.5  40   121
-        halves   0.037  0.061  0.115  0.27  0.88  2.6  8.6   28   80
+        trie     0.024  0.056  0.139  0.41  1.4   4.5  13.9  40   113
+        halves   0.025  0.048  0.103  0.26  0.77  2.4  6.8   24   68
     """
     n, out_masks, in_masks = T.n, T.out_masks, T.in_masks
     k = (n - 1) // 2
-    width = (n * factorial(n - 2 - k)).bit_length()
-    lane, full, top = (1 << width) - 1, (1 << n) - 1, width * (n - 1)
-    ones = _lane_ones(width, n)
+    width = factorial(n).bit_length()
+    lane, full = (1 << width) - 1, (1 << n) - 1
+    low, high = _fold_steps(width)
     meet = (in_masks, out_masks)[w >> k & 1]  # arc k, from the forward end
     allow = [sum(lane << width * u for u in range(n) if meet[v] >> u & 1) for v in range(n)]
     last = (out_masks, in_masks)[w >> k + 1 & 1]  # arc k+1, back from the backward end
-    total = 0
+    total = 0  # lane u: the readings whose arc k ends at u
     for s in range(n):
         sets: dict[int, int] = {}
+        get = sets.get
         states = {(1 << s + 4) + s: 1}  # each half's layers are dropped before the next
         for i in range(n - 1, k + 1, -1):
             states = _advance(states, (out_masks, in_masks)[w >> i & 1])
         for key, c in states.items():
             used = key >> 4
             cand = last[key & 15] & ~used
-            while cand:
-                v = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                sets[used | 1 << v] = sets.get(used | 1 << v, 0) + (c << width * v)
+            for bit, shift in low[cand & 255]:
+                sets[used | bit] = get(used | bit, 0) + (c << shift)
+            if cand > 255:
+                for bit, shift in high[cand >> 8]:
+                    sets[used | bit] = get(used | bit, 0) + (c << shift)
         states = {(1 << s + 4) + s: 1}
         for i in range(k):
             states = _advance(states, (in_masks, out_masks)[w >> i & 1])
         for key, c in states.items():
-            x = sets.get(full ^ key >> 4 | 1 << s, 0) & allow[key & 15]
+            x = get(full ^ key >> 4 | 1 << s, 0) & allow[key & 15]
             if x:
-                total += c * (x * ones >> top & lane)
-    return total
+                total += c * x
+    return sum(_split_lanes(total, width, n))
 
 
 def _every_word_walk(T: Tournament, starts: Iterable[int] | _Lanes, length: int) -> dict[int, int]:
@@ -392,7 +407,8 @@ def _word_tallies(T: Tournament, words: tuple[tuple[int, int], ...], closed: boo
     which that is no faster: its tally is the walk's, on the full set."""
     n = T.n
     met = [wd for wd in words if closed and wd[0] == n >= _SPANNING_MEET_ORDER]
-    tallies = _word_set_walk(T, range(n), tuple(wd for wd in words if wd not in met), closed)
+    rest = tuple(wd for wd in words if wd not in met)
+    tallies = _word_set_walk(T, range(n), rest, closed) if rest else {}
     for wd in met:
         if readings := _spanning_readings(T, wd[1]):  # none is left out, as in the walk
             tallies[wd] = {(1 << n) - 1: readings}

@@ -5,8 +5,10 @@ two order-3 tournaments, the package's own permutation oracle, and a third
 from-scratch brute force written here with no shared helpers.
 """
 
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
+from importlib import import_module
 from itertools import combinations, permutations
 from math import factorial
 
@@ -37,6 +39,7 @@ from tourcensus import (
     neg_reverse,
     oracle_census,
     oracle_cycle_sets,
+    pair_index,
     path_classes,
     path_type_classes,
     random_tournaments,
@@ -409,6 +412,57 @@ def test_spanning_readings_match_the_closed_trie_walk():
         for beta in standard_tuples(T.n, "cycle"):
             w = word_int(beta)
             assert _spanning_readings(T, w) == closed_readings(T, w), (T.serialize(), beta)
+
+
+def rotational(n, reach):
+    """The tournament with arcs i -> i+1..i+reach, mod n."""
+    return Tournament(n, sum(1 << pair_index(i, j, n) for i, j in combinations(range(n), 2)
+                             if j - i <= reach))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_spanning_readings_match_the_closed_trie_walk_at_orders_10_and_11(n):
+    # a lane sums the readings whose middle arc ends at its vertex, over every
+    # start, so it must hold up to n! of them
+    classes = sorted(cycle_type_classes(n))
+    betas = [(n,), *classes[::len(classes) // 4]]
+    hosts = [*random_tournaments(n, 30 + n, 1)] + ([rotational(11, 5)] if n == 11 else [])
+    for T in hosts:
+        for beta in betas:
+            w = word_int(beta)
+            assert _spanning_readings(T, w) == closed_readings(T, w), (T.serialize(), beta)
+    if n == 11:  # 5109 directed cycles read from 11 starts: far past lanes of (b-1)! sequences
+        assert _spanning_readings(rotational(11, 5), word_int((11,))) == 11 * 5109
+
+
+def test_spanning_readings_peak_below_512_kib_at_order_12():
+    (T,) = random_tournaments(12, 21, 1)
+    w = word_int((12,))
+    _spanning_readings(T, w)  # the cached tables are built outside the trace
+    tracemalloc.start()
+    try:
+        _spanning_readings(T, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 << 10, peak
+
+
+def test_word_tallies_walk_no_trie_for_spanning_words_alone(monkeypatch):
+    census_mod = import_module("tourcensus.census")  # the package's ``census`` is a function
+    walks = []
+    real = census_mod._word_set_walk
+
+    def counting(*args):
+        walks.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(census_mod, "_word_set_walk", counting)
+    (T,) = random_tournaments(7, 9, 1)
+    spanning = tuple((7, word_int(t)) for t in cycle_type_classes(7))
+    assert _word_tallies(T, spanning, closed=True)
+    assert walks == []  # every word meets in the middle: no trie is left to walk
+    assert _word_tallies(T, spanning + ((3, 0),), closed=True)
+    assert walks == [((3, 0),)]
 
 
 @pytest.mark.parametrize("n", [7, 8])
