@@ -187,11 +187,10 @@ def _span_table(T: Tournament, comp: Component) -> dict[int, int]:
     return _span_tables(T, (comp,))[comp]
 
 
-@lru_cache(maxsize=1 << 12)
-def _negated(comp: Component) -> Component:
-    """The component with every arc reversed, canonical."""
-    kind, tup = comp
-    return (kind, (path_canonical if kind == "P" else cycle_canonical)(negate(tup)))
+def _negated(H: Digraph2Spec) -> Digraph2Spec:
+    """-H: every arc of H reversed.  A copy of H in the reversed host is, on
+    the same vertex set, a copy of -H in the host."""
+    return Digraph2Spec(tuple((c[0], negate(c[1])) if len(c) > 1 else c for c in H.components))
 
 
 class CopyCounter:
@@ -200,44 +199,26 @@ class CopyCounter:
     ``count`` builds the tables of one pattern as it needs them;
     ``counts`` builds every table a list of patterns is missing in one open
     and one closed walk first, so components that share a sign prefix share
-    their DP steps.
-
-    ``reversal()`` counts in the reversed host without a walk of its own.  A
-    copy of a component in the reversal is, on the same vertex set, a copy of
-    its negation in the host, so its table of a component is this counter's
-    table of the negated one, built in this counter's walks.
+    their DP steps.  Counts in the reversed host are those of the negated
+    patterns (``_negated``) here, so no second counter is needed for them.
     """
 
     def __init__(self, T: Tournament):
         self.T = T
         self._tables: dict[Component, dict[int, int]] = {}
-        self._forward: CopyCounter | None = None  # a reversal's host counter
-
-    def reversal(self) -> "CopyCounter":
-        """A counter of the same class over ``T.complement()`` reading this
-        counter's tables of the negated components."""
-        rev = type(self)(self.T.complement())
-        rev._forward = self
-        return rev
 
     def _table(self, comp: Component) -> dict[int, int]:
         tbl = self._tables.get(comp)
         if tbl is None:
-            fwd = self._forward
-            tbl = self._tables[comp] = (_span_table(self.T, comp) if fwd is None
-                                        else fwd._table(_negated(comp)))
+            tbl = self._tables[comp] = _span_table(self.T, comp)
         return tbl
 
     def counts(self, patterns: list[Digraph2Spec]) -> list[int]:
         """Copy counts of every pattern, in order."""
         missing = dict.fromkeys(c for H in patterns if H.order <= self.T.n
                                 for c in H.core() if c not in self._tables)
-        host = self
-        if self._forward is not None:  # the host counter builds the negations
-            host = self._forward
-            missing = dict.fromkeys(neg for neg in map(_negated, missing) if neg not in host._tables)
         if missing:
-            host._tables.update(_span_tables(host.T, tuple(missing)))
+            self._tables.update(_span_tables(self.T, tuple(missing)))
         return [self.count(H) for H in patterns]
 
     def count(self, H: Digraph2Spec) -> int:
@@ -278,13 +259,13 @@ def check_complement_invariance(T: Tournament, H: Digraph2Spec) -> tuple[int, in
     """Copy counts of H in T and in the arc-reversed tournament.
 
     Reversal maps a copy of a path or cycle to a copy of its negation on the
-    same vertex set, so the second count is that of -H in T, read through
-    ``CopyCounter.reversal``.  The negation need not have the component's
-    canonical type (P(2,-1) is canonically P(1,-2), its negation P(-1,2)), so
-    the two counts agree by the paper's theorem, not by definition.
+    same vertex set, so the second count is that of -H in T, on the same
+    counter.  The negation need not have the component's canonical type
+    (P(2,-1) is canonically P(1,-2), its negation P(-1,2)), so the two counts
+    agree by the paper's theorem, not by definition.
     """
     counter = CopyCounter(T)
-    return counter.count(H), counter.reversal().count(H)
+    return counter.count(H), counter.count(_negated(H))
 
 
 def _out_star_count(T: Tournament, leaves: int) -> int:

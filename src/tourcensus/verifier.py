@@ -260,19 +260,18 @@ def _type_and_cycle(key: tuple[SignedTuple, SignedTuple]) -> dict:
 
 
 def _both_ways(scope: Scope) -> Callable:
-    """``both(lanes, sides)``: ``sides(lanes, rev)`` of the lanes and their
-    reversal, a pair of counts, one per run.  On an exhaustive scope the
+    """``both(lanes, sides)``: ``sides(lanes)``, a pair of counts of the
+    lanes and of their reversal, one per run.  On an exhaustive scope the
     first run of a complement pair keeps the swapped pair, keyed by the
     reversal's serial, for its partner, which comes next."""
     swapped: dict[int, tuple] = {}
 
-    def both(lanes: _Lanes, sides: Callable[[_Lanes, _Lanes], tuple]) -> tuple:
+    def both(lanes: _Lanes, sides: Callable[[_Lanes], tuple]) -> tuple:
         pair = swapped.pop(lanes.T.bits, None)
         if pair is None:
-            rev = _Lanes(lanes.T.complement(), lanes.count)
-            pair = sides(lanes, rev)
+            pair = sides(lanes)
             if not scope.is_random:  # a sample's reversal is not in the scope
-                swapped[rev.T.bits] = pair[::-1]
+                swapped[lanes.T.complement().bits] = pair[::-1]
         return pair
 
     return both
@@ -456,28 +455,36 @@ def _check_t_one(scope: Scope, _):
 
 
 def _check_h_invariance(scope: Scope, _):
-    """Copy counts of every bounded-degree pattern agree in T and reversed T."""
-    from .digraphs import CopyCounter, all_digraph_specs, random_digraph_spec
+    """Copy counts of every bounded-degree pattern agree in T and reversed T.
+
+    The reversal's copies of H are the host's copies of -H, so both sides
+    come from one ``counts`` call per host on a pool of the patterns and
+    their negations, worked out once per pattern list.  The exhaustive list
+    is closed under negation, so there the pool is the list itself."""
+    from .digraphs import CopyCounter, _negated, all_digraph_specs, random_digraph_spec
+
+    def pooled(specs: list) -> tuple:
+        """The patterns, the pool, and the places of each H and -H in it."""
+        negs = [_negated(H) for H in specs]
+        place = {H: k for k, H in enumerate(dict.fromkeys(specs + negs))}
+        return specs, list(place), [place[H] for H in specs], [place[H] for H in negs]
 
     n = scope.order
     if scope.is_random:  # one pattern per sample, from its own stream
         stream = seed_stream(scope.seed ^ _SPEC_STREAM_SALT)
-        patterns = ([random_digraph_spec(1 + next(stream) % n, next(stream))]
+        patterns = (pooled([random_digraph_spec(1 + next(stream) % n, next(stream))])
                     for _ in repeat(None))
     else:
-        patterns = repeat(all_digraph_specs(n))
+        patterns = repeat(pooled(all_digraph_specs(n)))
 
     both = _both_ways(scope)
 
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
-        specs = next(patterns)
+        specs, pool, fwd, rev = next(patterns)
 
-        def sides(run: _Lanes, _) -> tuple:
-            # the reversal's copies of H are the host's copies of -H; an
-            # exhaustive pattern list is closed under negation, so the host's
-            # one walk builds the tables of both sides
-            forward = CopyCounter(run.T)
-            return forward.counts(specs), forward.reversal().counts(specs)
+        def sides(run: _Lanes) -> tuple:
+            c = CopyCounter(run.T).counts(pool)
+            return [c[k] for k in fwd], [c[k] for k in rev]
 
         return zip(specs, *both(lanes, sides))
 
@@ -493,8 +500,8 @@ def _check_complement_bridge(scope: Scope, _):
     def compare(lanes: _Lanes) -> Iterator[_Comparison]:
         # each side is swept on its own, so neither count is derived from the
         # other; both share the lanes' layout
-        (words, cycles), (words_rev, cycles_rev) = both(
-            lanes, lambda *runs: tuple(_length_census(ln, n) for ln in runs))
+        (words, cycles), (words_rev, cycles_rev) = both(lanes, lambda run: (
+            _length_census(run, n), _length_census(_Lanes(run.T.complement(), run.count), n)))
         for side in sides:
             yield side[0], _f(words, side, lanes), _f(words_rev, side, lanes)
         if n >= 3:

@@ -226,7 +226,7 @@ def test_spanning_cycle_tables_meet_in_the_middle_as_the_trie_walk_reads_them(n)
             comp = ("C", tup)
             assert _span_table(T, comp) == trie_span_table(T, comp), (T.serialize(), tup)
             H = Digraph2Spec((comp,))
-            assert CopyCounter(T).reversal().count(H) == reversed_counts[tup], (T.serialize(), tup)
+            assert CopyCounter(T).count(_negated(H)) == reversed_counts[tup], (T.serialize(), tup)
 
 
 def test_spanning_cycle_table_of_a_host_without_one_is_empty():
@@ -325,36 +325,28 @@ def test_complement_invariance_holds(T):
 
 
 
-# --- the reversal counts -H on the host -----------------------------------------
+# --- the reversed host's copies of H are the host's copies of -H ------------------
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_reversal_counts_match_a_counter_on_the_complement(n):
     specs = all_digraph_specs(min(n, 6))
+    negations = [_negated(H) for H in specs]
     for T in random_tournaments(n, 40 + n, 2):
         expected = CopyCounter(T.complement()).counts(specs)
-        assert CopyCounter(T).reversal().counts(specs) == expected, T.serialize()
+        assert CopyCounter(T).counts(negations) == expected, T.serialize()
         forward = CopyCounter(T)
-        forward.counts(specs)  # the reversal then reads tables built already
-        assert forward.reversal().counts(specs) == expected, T.serialize()
+        forward.counts(specs)  # -H then reads tables built already
+        assert forward.counts(negations) == expected, T.serialize()
 
 
 def test_reversal_count_matches_a_counter_on_the_complement():
     (T,) = random_tournaments(8, 9, 1)
     counter = CopyCounter(T)
-    reversal = counter.reversal()
     for seed in range(20):
         H = random_digraph_spec(8, seed)
         expected = CopyCounter(T.complement()).count(H)
-        assert reversal.count(H) == expected, H.render()
-        assert CopyCounter(T).reversal().count(H) == expected, H.render()
-
-
-def test_reversal_is_a_counter_of_the_same_class_on_the_complement():
-    class Sub(CopyCounter):
-        pass
-    (T,) = random_tournaments(6, 3, 1)
-    reversal = Sub(T).reversal()
-    assert type(reversal) is Sub and reversal.T == T.complement()
+        assert counter.count(_negated(H)) == expected, H.render()
+        assert CopyCounter(T).count(_negated(H)) == expected, H.render()
 
 
 def test_reversal_builds_no_tables_of_its_own(monkeypatch):
@@ -371,19 +363,20 @@ def test_reversal_builds_no_tables_of_its_own(monkeypatch):
     monkeypatch.setattr(digraphs_mod, "_span_tables", counting)
     counter = CopyCounter(T)
     counter.counts(specs)
-    counter.reversal().counts(specs)  # every negation was in the host's walk
+    counter.counts([_negated(spec) for spec in specs])  # every negation was in the walk
     assert hosts == [T]
-    assert counter.reversal().count(H) == expected
+    assert counter.count(_negated(H)) == expected
     assert hosts == [T, T]
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_negated_components_are_canonical_and_their_tables_are_the_complements(n):
-    comps = tuple(dict.fromkeys(c for H in all_digraph_specs(7) for c in H.core()))
-    negated = tuple(_negated(c) for c in comps)
+    specs = all_digraph_specs(7)
+    assert all(_negated(_negated(H)) == H for H in specs)
+    comps = tuple(dict.fromkeys(c for H in specs for c in H.core()))
+    negated = tuple(_negated(Digraph2Spec((c,))).core()[0] for c in comps)
     for c, neg in zip(comps, negated):
         assert _canonical_component(*neg) == neg, c
-        assert _negated(neg) == c, c
         # a walk on the reversal with c's word is the walk on the host with
         # the complemented word, whose class is the negation's; the tables
         # below agree mask by mask for c itself too, by the theorem
@@ -396,6 +389,26 @@ def test_negated_components_are_canonical_and_their_tables_are_the_complements(n
     on_complement = _span_tables(T.complement(), comps)
     for c, neg in zip(comps, negated):
         assert on_host[neg] == on_complement[c], c
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+@pytest.mark.parametrize("text, own_negation", [
+    ("P(2)", True),
+    ("P(1,-1);P(-1,1)", True),
+    ("P(2,-1);C(1,-2)", False),
+    ("P(1,-1);C(1,-1,2,-2);V", False),  # order 10: counted on the order-10 host
+])
+def test_complement_invariance_counts_h_on_the_host_and_on_its_complement(n, text, own_negation):
+    H = Digraph2Spec.parse(text)
+    assert (_negated(H) == H) == own_negation
+    for T in random_tournaments(n, 70 + n, 2):
+        if H.order > n:
+            with pytest.raises(TypeTooLongError):
+                check_complement_invariance(T, H)
+            continue
+        # the second count from its own walk on the complement
+        expected = (count_copies(T, H), count_copies(T.complement(), H))
+        assert check_complement_invariance(T, H) == expected, T.serialize()
 
 # --- inventories and sampling ---------------------------------------------------
 

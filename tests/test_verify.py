@@ -23,7 +23,7 @@ from tourcensus import (
     verify,
 )
 from tourcensus.census import _Lanes, count_paths, path_type_classes
-from tourcensus.digraphs import CopyCounter, all_digraph_specs
+from tourcensus.digraphs import CopyCounter, _negated, all_digraph_specs
 from tourcensus.tournaments import Tournament, all_tournaments, random_tournaments, transitive
 from tourcensus.type_algebra import (
     format_type,
@@ -478,27 +478,46 @@ def _class_sizes_fault(monkeypatch, scope, faulty):
     return records_of
 
 
+def _first_unlike_its_negation(pool):
+    return next((H for H in pool if _negated(H) != H), None)
+
+
 def _h_invariance_fault(monkeypatch, scope, faulty):
-    # the last pattern has one copy too many in each faulty host, which the
-    # reversed side sees when the reversal of the swept tournament is faulty
+    # a faulty host's counts call finds one copy too many of X, the first
+    # pattern of its pool that is not its own negation; the host's reversed
+    # side reads that count as the reversal's count of -X
     calls = []
 
     class FaultyCounter(CopyCounter):
         def counts(self, patterns):
             out = super().counts(patterns)
-            calls.append(patterns)
-            if self.T.bits in faulty:
-                out[-1] += 1
+            calls.append((self.T.bits, patterns))
+            X = _first_unlike_its_negation(patterns)
+            if self.T.bits in faulty and X is not None:
+                out[patterns.index(X)] += 1
             return out
     monkeypatch.setattr(digraphs_mod, "CopyCounter", FaultyCounter)
 
     def records_of(index, T):
-        # the forward count of sample k is call 2k, the reversed one call 2k+1
-        forward, reverse = T.bits in faulty, T.complement().bits in faulty
-        if forward != reverse:
-            spec = calls[2 * index][-1] if scope.is_random else all_digraph_specs(scope.order)[-1]
-            c = CopyCounter(T).count(spec)
-            yield {"digraph": spec.render(), "lhs": c + forward, "rhs": c + reverse}
+        # sample k is counted in call k, its pattern first in the pool; on an
+        # exhaustive scope a host not counted takes its reversal's sides
+        # swapped, so there the corrupt count is its count of -X
+        if scope.is_random:
+            host, pool = calls[index]
+            specs = pool[:1]
+        else:
+            pools = dict(calls)
+            host = T.bits if T.bits in pools else T.complement().bits
+            pool, specs = pools[host], all_digraph_specs(scope.order)
+        X = _first_unlike_its_negation(pool)
+        if host not in faulty or X is None:
+            return
+        Y = X if host == T.bits else _negated(X)
+        for H in specs:
+            neg = _negated(H)
+            if Y in (H, neg):
+                yield {"digraph": H.render(), "lhs": CopyCounter(T).count(H) + (H == Y),
+                       "rhs": CopyCounter(T).count(neg) + (neg == Y)}
     return records_of
 
 
@@ -525,10 +544,13 @@ def test_oracle_and_copy_violation_records(monkeypatch, fault, mode):
         # the check compares booleans and reports them as JSON booleans
         assert '"lhs": true, "rhs": false' in json.dumps(report.violations[0])
         return
-    assert len(report.violations) == 10  # capped
+    expected = _expected(scope, records_of)
+    # capped at 10; a sample fails h-invariance only where its pattern is not
+    # its own negation, and just two of the random scope's faulty samples draw one
+    assert len(expected) == (2 if (fault, mode) == ("h-invariance", "random") else 10)
     keys = {"tournament", "lhs", "rhs"} | fields | ({"sample"} if scope.is_random else set())
     assert all(set(v) == keys for v in report.violations)
-    assert report.violations == _expected(scope, records_of)
+    assert report.violations == expected
     # in scope order: serial order when exhaustive, sample order when random
     order = [v["sample"] if scope.is_random else Tournament.parse(v["tournament"]).bits
              for v in report.violations]
@@ -587,37 +609,40 @@ def test_runs_keep_random_sample_order():
 
 
 def _count_counts_calls(monkeypatch):
-    calls = []
+    calls, pools = [], []
 
     class CountingCounter(CopyCounter):
         def counts(self, patterns):
             calls.append(self.T.bits)
+            pools.append(patterns)
             return super().counts(patterns)
     monkeypatch.setattr(digraphs_mod, "CopyCounter", CountingCounter)
-    return calls
+    return calls, pools
 
 
 @pytest.mark.parametrize("order", range(2, 6))
 def test_h_invariance_counts_each_host_once(monkeypatch, order):
-    calls = _count_counts_calls(monkeypatch)
+    calls, pools = _count_counts_calls(monkeypatch)
     report = verify("h-invariance", Scope(mode="exhaustive", order=order))
     assert report.passed
     m = order * (order - 1) // 2
-    assert sorted(calls) == list(range(1 << m))
+    # one host of each complement pair, each pattern placed once: the
+    # exhaustive list is closed under negation, so it is the pool itself
+    assert len(calls) == 1 << (m - 1)
+    reversals = [Tournament(order, b).complement().bits for b in calls]
+    assert sorted(calls + reversals) == list(range(1 << m))
+    assert all(pool == all_digraph_specs(order) for pool in pools)
 
 
 def test_h_invariance_counts_the_first_run_of_each_pair(monkeypatch):
     scope = Scope(mode="exhaustive", order=5)
     firsts = list(verify_mod._runs(scope))[::2]
-    calls = _count_counts_calls(monkeypatch)
+    calls, _ = _count_counts_calls(monkeypatch)
     assert verify("h-invariance", scope).passed
-    # each tournament of a first run, in _runs order, and then its reversal
-    expected = []
-    for _, run in firsts:
-        for i in range(run.count):
-            T = run.tournament(i)
-            expected += [T.bits, T.complement().bits]
-    assert calls == expected
+    # each tournament of a first run, in _runs order; its reversal reads
+    # the same call
+    assert calls == [run.tournament(i).bits for _, run in firsts for i in range(run.count)]
+    assert len(calls) == 512
 
 
 def test_h_invariance_builds_tables_once_per_complement_pair(monkeypatch):
@@ -723,11 +748,13 @@ def test_szele_floor_max_is_the_brute_force_maximum(order):
 
 
 def test_h_invariance_random_scope_counts_both_hosts_per_sample(monkeypatch):
-    calls = _count_counts_calls(monkeypatch)
+    calls, pools = _count_counts_calls(monkeypatch)
     scope = Scope(mode="random", order=6, samples=24, seed=5)
     assert verify("h-invariance", scope).passed
-    assert len(calls) == 48
-    assert calls[::2] == [T.bits for _, T in scope.tournaments()]
+    # one call per sample, on the sample's pattern and its negation
+    assert len(calls) == 24
+    assert calls == [T.bits for _, T in scope.tournaments()]
+    assert all(pool[1:] in ([], [_negated(pool[0])]) for pool in pools)
 
 
 def _flaky(T):

@@ -114,6 +114,8 @@ def fixed_calls(property_ids: tuple[str, ...]) -> list[tuple[str, ...]]:
          "--complement-check"),
         (*CLI, "hcount", "--tournament", HOST7, "--digraph", "C(1,-1,2,-3)",
          "--complement-check"),  # a spanning cycle, met in the middle
+        (*CLI, "hcount", "--tournament", HOST7, "--digraph", "P(1,-1);P(-1,1)",
+         "--complement-check"),  # a pattern that is its own negation
         *HELP,
         *PARSER_ERRORS,
         PUBLIC_NAMES,
