@@ -349,7 +349,7 @@ def test_reversal_count_matches_a_counter_on_the_complement():
         assert CopyCounter(T).count(_negated(H)) == expected, H.render()
 
 
-def test_reversal_builds_no_tables_of_its_own(monkeypatch):
+def test_negations_build_no_tables_of_their_own(monkeypatch):
     (T,) = random_tournaments(7, 5, 1)
     specs = all_digraph_specs(6)
     H = Digraph2Spec.parse("C(1,-1,1,-4)")  # order 7: a table the host lacks
